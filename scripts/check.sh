@@ -18,7 +18,9 @@
 #      test, starved-tenant reporting, and QoS (DESIGN.md §16);
 #   6. ASan and TSan passes over the skip-enabled determinism subset
 #      (the SoA warp state and bulk stall-charging touch hot arrays;
-#      the multi-SM epoch loop skips under worker threads).
+#      the multi-SM epoch loop skips under worker threads);
+#   7. a UBSan pass over stats JSON and cache-entry parsing (hostile
+#      numbers must be parse failures, never out-of-range casts).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -84,4 +86,18 @@ cmake --build "$TSAN_DIR" -j --target regless_oracle_tests
 "$TSAN_DIR"/tests/regless_oracle_tests \
     --gtest_filter='*MultiSmCycleSkipOracle*'
 
-echo "check: tier-1, oracle, asan, and tsan subsets all passed"
+# Stats JSON and cache-entry parsing under UndefinedBehaviorSanitizer.
+# GCC's "undefined" group leaves out float-cast-overflow, the check a
+# hostile count like 1e300 would trip, so it is named explicitly.
+UBSAN_DIR=${UBSAN_BUILD_DIR:-build-ubsan}
+cmake -B "$UBSAN_DIR" -S . \
+    -DREGLESS_SANITIZE=undefined,float-cast-overflow
+cmake --build "$UBSAN_DIR" -j --target regless_tests \
+    --target regless_cache_tests
+for suite in regless_tests regless_cache_tests; do
+    UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+        "$UBSAN_DIR"/tests/$suite \
+        --gtest_filter='StatsIo*:JobRecord*:JobCacheLoad*'
+done
+
+echo "check: tier-1, oracle, asan, tsan, and ubsan subsets all passed"

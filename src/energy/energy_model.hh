@@ -92,6 +92,8 @@ struct EnergyBreakdown
     {
         return registerStructures() + memory + rest;
     }
+
+    bool operator==(const EnergyBreakdown &) const = default;
 };
 
 } // namespace regless::energy

@@ -39,53 +39,6 @@ mix64(std::uint64_t x)
     return x;
 }
 
-/**
- * Add @a from's provider-activity counters into @a into (multi-tenant
- * harvest: each tenant's provider is collected separately and the
- * footprints sum). Means and series have no meaningful cross-kernel
- * sum; they are taken from tenant 0.
- */
-void
-mergeProviderCounters(RunStats &into, const RunStats &from, bool first)
-{
-    into.metadataInsns += from.metadataInsns;
-    into.rfReads += from.rfReads;
-    into.rfWrites += from.rfWrites;
-    into.renameLookups += from.renameLookups;
-    into.lrfAccesses += from.lrfAccesses;
-    into.orfAccesses += from.orfAccesses;
-    into.mrfAccesses += from.mrfAccesses;
-    into.osuAccesses += from.osuAccesses;
-    into.osuTagLookups += from.osuTagLookups;
-    into.osuBankConflicts += from.osuBankConflicts;
-    into.compressorAccesses += from.compressorAccesses;
-    into.compressorMatches += from.compressorMatches;
-    into.compressorIncompressible += from.compressorIncompressible;
-    into.compressorStaticHits += from.compressorStaticHits;
-    into.compressorStaticUnsound += from.compressorStaticUnsound;
-    into.osuGatedBankCycles += from.osuGatedBankCycles;
-    into.rfCacheHits += from.rfCacheHits;
-    into.rfCacheMisses += from.rfCacheMisses;
-    into.spillStores += from.spillStores;
-    into.fillLoads += from.fillLoads;
-    into.preloadSrcOsu += from.preloadSrcOsu;
-    into.preloadSrcCompressor += from.preloadSrcCompressor;
-    into.preloadSrcL1 += from.preloadSrcL1;
-    into.preloadSrcL2Dram += from.preloadSrcL2Dram;
-    into.l1PreloadReqs += from.l1PreloadReqs;
-    into.l1StoreReqs += from.l1StoreReqs;
-    into.l1InvalidateReqs += from.l1InvalidateReqs;
-    if (first) {
-        into.meanWorkingSetBytes = from.meanWorkingSetBytes;
-        into.backingSeries = from.backingSeries;
-        into.regionPreloadsMean = from.regionPreloadsMean;
-        into.regionLiveMean = from.regionLiveMean;
-        into.regionLiveStddev = from.regionLiveStddev;
-        into.regionCyclesMean = from.regionCyclesMean;
-        into.regionInsnsMean = from.regionInsnsMean;
-    }
-}
-
 } // namespace
 
 std::function<std::uint32_t(Addr)>
@@ -441,18 +394,19 @@ GpuSimulator::harvest(RunStats &stats)
     stats.dramAccesses = _mem->dram().stats().counter("accesses").value();
 
     // Provider-specific counters: each registry descriptor knows how
-    // to harvest its own design. Multi-tenant runs collect each
-    // tenant's provider and sum the activity.
+    // to harvest its own design. Multi-tenant runs collect each later
+    // tenant's provider into a scratch record (collect sets only
+    // provider fields) and accumulate it: the activity sums, and the
+    // means and series stay tenant 0's.
     const ProviderDescriptor &desc =
         providerDescriptor(_config.provider);
-    if (_cks.size() == 1) {
-        desc.collect(*_providers[0], stats);
-    } else {
-        for (std::size_t t = 0; t < _providers.size(); ++t) {
-            RunStats lane;
-            desc.collect(*_providers[t], lane);
-            mergeProviderCounters(stats, lane, t == 0);
-        }
+    desc.collect(*_providers[0], stats);
+    for (std::size_t t = 1; t < _providers.size(); ++t) {
+        RunStats scratch;
+        desc.collect(*_providers[t], scratch);
+        accumulate(stats, scratch);
+    }
+    if (_cks.size() > 1) {
         stats.tenants.resize(_cks.size());
         for (unsigned t = 0; t < static_cast<unsigned>(_cks.size());
              ++t) {

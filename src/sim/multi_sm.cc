@@ -141,68 +141,11 @@ MultiSmSimulator::run(double wall_timeout_sec)
     for (auto &instance : _sms)
         _perSm.push_back(instance->simulator->collect());
 
-    // Aggregate: wall clock is the slowest SM; everything else sums.
+    // Aggregate under the field table's merge rules, in SM-id order so
+    // the energy sums round the same way for every thread count.
     RunStats total = _perSm.front();
-    for (std::size_t i = 1; i < _perSm.size(); ++i) {
-        const RunStats &s = _perSm[i];
-        total.cycles = std::max(total.cycles, s.cycles);
-        total.insns += s.insns;
-        total.metadataInsns += s.metadataInsns;
-        total.l1Accesses += s.l1Accesses;
-        total.l2Accesses += s.l2Accesses;
-        total.rfReads += s.rfReads;
-        total.rfWrites += s.rfWrites;
-        total.renameLookups += s.renameLookups;
-        total.lrfAccesses += s.lrfAccesses;
-        total.orfAccesses += s.orfAccesses;
-        total.mrfAccesses += s.mrfAccesses;
-        total.rfCacheHits += s.rfCacheHits;
-        total.rfCacheMisses += s.rfCacheMisses;
-        total.spillStores += s.spillStores;
-        total.fillLoads += s.fillLoads;
-        total.osuAccesses += s.osuAccesses;
-        total.osuTagLookups += s.osuTagLookups;
-        total.osuBankConflicts += s.osuBankConflicts;
-        total.compressorAccesses += s.compressorAccesses;
-        total.compressorMatches += s.compressorMatches;
-        total.compressorIncompressible += s.compressorIncompressible;
-        total.compressorStaticHits += s.compressorStaticHits;
-        total.compressorStaticUnsound += s.compressorStaticUnsound;
-        total.osuGatedBankCycles += s.osuGatedBankCycles;
-        total.preloadSrcOsu += s.preloadSrcOsu;
-        total.preloadSrcCompressor += s.preloadSrcCompressor;
-        total.preloadSrcL1 += s.preloadSrcL1;
-        total.preloadSrcL2Dram += s.preloadSrcL2Dram;
-        total.l1PreloadReqs += s.l1PreloadReqs;
-        total.l1StoreReqs += s.l1StoreReqs;
-        total.l1InvalidateReqs += s.l1InvalidateReqs;
-        total.issuedSlots += s.issuedSlots;
-        for (std::size_t c = 0; c < arch::kNumStallCauses; ++c)
-            total.stallSlots[c] += s.stallSlots[c];
-        total.skippedCycles += s.skippedCycles;
-        total.skipEvents += s.skipEvents;
-        // Per-tenant lanes: counters sum across SMs; a tenant's finish
-        // cycle is its slowest SM's.
-        for (std::size_t t = 0;
-             t < std::min(total.tenants.size(), s.tenants.size());
-             ++t) {
-            TenantLane &lane = total.tenants[t];
-            const TenantLane &other = s.tenants[t];
-            lane.insns += other.insns;
-            lane.issuedSlots += other.issuedSlots;
-            for (std::size_t c = 0; c < arch::kNumStallCauses; ++c)
-                lane.stallSlots[c] += other.stallSlots[c];
-            lane.finishCycle =
-                std::max(lane.finishCycle, other.finishCycle);
-            lane.suspendedCycles += other.suspendedCycles;
-            lane.preemptions += other.preemptions;
-        }
-        total.energy.regDynamic += s.energy.regDynamic;
-        total.energy.regStatic += s.energy.regStatic;
-        total.energy.compressor += s.energy.compressor;
-        total.energy.memory += s.energy.memory;
-        total.energy.rest += s.energy.rest;
-    }
+    for (std::size_t i = 1; i < _perSm.size(); ++i)
+        accumulate(total, _perSm[i]);
     // The shared DRAM's accesses were counted once per instance
     // harvest; take them from the shared model directly.
     total.dramAccesses = _dram->stats().counter("accesses").value();

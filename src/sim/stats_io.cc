@@ -1,10 +1,14 @@
 #include "sim/stats_io.hh"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 #include "common/logging.hh"
 
@@ -39,69 +43,61 @@ class JsonObject
 
     ~JsonObject() { _os << "}"; }
 
+    /** Write "<prefix><key>":<value>. */
+    template <typename V>
     void
-    field(const char *key, const std::string &value)
-    {
-        sep();
-        _os << "\"" << key << "\":\"";
-        for (char c : value) {
-            if (c == '"' || c == '\\')
-                _os << '\\';
-            _os << c;
-        }
-        _os << "\"";
-    }
-
-    void
-    field(const char *key, std::uint64_t value)
-    {
-        sep();
-        _os << "\"" << key << "\":" << value;
-    }
-
-    void
-    field(const char *key, double value)
-    {
-        sep();
-        _os << "\"" << key << "\":" << value;
-    }
-
-    void
-    fieldArray(const char *key, const std::vector<double> &values)
-    {
-        sep();
-        _os << "\"" << key << "\":[";
-        for (std::size_t i = 0; i < values.size(); ++i)
-            _os << (i ? "," : "") << values[i];
-        _os << "]";
-    }
-
-  private:
-    void
-    sep()
+    field(std::string_view prefix, std::string_view key, const V &value)
     {
         if (_first)
             _first = false;
         else
             _os << ",";
+        _os << "\"" << prefix << key << "\":";
+        if constexpr (std::is_same_v<V, std::string>) {
+            _os << "\"";
+            for (char c : value) {
+                if (c == '"' || c == '\\')
+                    _os << '\\';
+                _os << c;
+            }
+            _os << "\"";
+        } else if constexpr (std::is_same_v<V, ProviderKind>) {
+            _os << "\"" << providerName(value) << "\"";
+        } else if constexpr (std::is_same_v<V, std::vector<double>>) {
+            _os << "[";
+            for (std::size_t i = 0; i < value.size(); ++i)
+                _os << (i ? "," : "") << value[i];
+            _os << "]";
+        } else {
+            static_assert(std::is_arithmetic_v<V>);
+            _os << value;
+        }
     }
 
+    template <typename V>
+    void
+    field(std::string_view key, const V &value)
+    {
+        field({}, key, value);
+    }
+
+  private:
     std::ostream &_os;
     bool _first = true;
 };
 
 /**
  * Single-pass parser for the flat writeJson() schema: one object of
- * string / number / array-of-number values. Dispatches each key-value
- * pair to a callback as it is read.
+ * string / number / array-of-number values. The field a key names
+ * reads its own value, so a value of the wrong kind fails to parse.
  */
 class JsonReader
 {
   public:
     explicit JsonReader(const std::string &text) : _text(text) {}
 
-    /** Current parse position (after an object: just past its '}'). */
-    std::size_t pos() const { return _pos; }
+    /** Length of the whole input in bytes. */
+    std::size_t size() const { return _text.size(); }
 
     void
     skipSpace()
@@ -162,72 +158,59 @@ class JsonReader
         return value;
     }
 
-    std::vector<double>
-    parseNumberArray()
-    {
-        expect('[');
-        std::vector<double> out;
-        if (peek() == ']') {
-            ++_pos;
-            return out;
-        }
-        for (;;) {
-            out.push_back(parseNumber());
-            char c = peek();
-            ++_pos;
-            if (c == ']')
-                return out;
-            if (c != ',')
-                parseFail("stats JSON: expected ',' or ']' in array");
-        }
-    }
-
-    /** One JSON value handed to the object callback. */
-    struct Value
-    {
-        enum class Kind
-        {
-            String,
-            Number,
-            Array,
-        } kind;
-        std::string str;
-        double num = 0.0;
-        std::vector<double> array;
-    };
-
+    /** Parse "<open>item,item...<close>", calling @a item for each. */
     template <typename Fn>
     void
-    parseObject(Fn &&on_field)
+    parseList(char open, char close, Fn &&item)
     {
-        expect('{');
-        if (peek() == '}') {
+        expect(open);
+        if (peek() == close) {
             ++_pos;
             return;
         }
         for (;;) {
-            std::string key = parseString();
-            expect(':');
-            Value v;
-            char c = peek();
-            if (c == '"') {
-                v.kind = Value::Kind::String;
-                v.str = parseString();
-            } else if (c == '[') {
-                v.kind = Value::Kind::Array;
-                v.array = parseNumberArray();
-            } else {
-                v.kind = Value::Kind::Number;
-                v.num = parseNumber();
-            }
-            on_field(key, v);
-            c = peek();
+            item();
+            const char c = peek();
             ++_pos;
-            if (c == '}')
+            if (c == close)
                 return;
             if (c != ',')
-                parseFail("stats JSON: expected ',' or '}' in object");
+                parseFail("stats JSON: expected ',' or '", close,
+                          "' at offset ", _pos - 1);
         }
+    }
+
+    std::vector<double>
+    parseNumberArray()
+    {
+        std::vector<double> out;
+        parseList('[', ']', [&] { out.push_back(parseNumber()); });
+        return out;
+    }
+
+    /** Skip the value of a key no field knows. */
+    void
+    skipValue()
+    {
+        const char c = peek();
+        if (c == '"')
+            parseString();
+        else if (c == '[')
+            parseNumberArray();
+        else
+            parseNumber();
+    }
+
+    /** Parse an object; @a on_key(key) must consume each value. */
+    template <typename Fn>
+    void
+    parseObject(Fn &&on_key)
+    {
+        parseList('{', '}', [&] {
+            const std::string key = parseString();
+            expect(':');
+            on_key(key);
+        });
     }
 
   private:
@@ -235,280 +218,188 @@ class JsonReader
     std::size_t _pos = 0;
 };
 
-std::uint64_t
-asCount(const JsonReader::Value &v)
+/** Suffix of the key that sizes a nested vector ("tenant_count"). */
+constexpr std::string_view kCountSuffix = "_count";
+
+/** A count of type T: an integral number in [0, max of T], and at
+ *  most @a bound. */
+template <typename T>
+T
+readCount(JsonReader &reader,
+          double bound = std::numeric_limits<double>::infinity())
 {
-    return static_cast<std::uint64_t>(v.num);
+    const double n = reader.parseNumber();
+    // 2^digits is the first integer past T's range and is exact as a
+    // double (T's max itself may round up to it).
+    if (!(n >= 0.0 && n < std::ldexp(1.0, std::numeric_limits<T>::digits) &&
+          n <= bound && std::trunc(n) == n))
+        parseFail("stats JSON: ", n, " is not a count");
+    return static_cast<T>(n);
 }
 
-/** Apply one parsed key-value pair to @a stats (shared by the plain
- * RunStats reader and the JobRecord reader). Unknown keys are
- * ignored. */
+template <typename T>
 void
-applyRunField(RunStats &stats, const std::string &key,
-              const JsonReader::Value &v)
+readValue(JsonReader &reader, T &out)
 {
-        if (key == "kernel")
-            stats.kernel = v.str;
-        else if (key == "provider") {
-            if (!tryProviderFromName(v.str, stats.provider))
-                parseFail("stats JSON: unknown provider '", v.str,
-                          "'");
-        }
-        else if (key == "cycles")
-            stats.cycles = static_cast<Cycle>(v.num);
-        else if (key == "insns")
-            stats.insns = asCount(v);
-        else if (key == "metadata_insns")
-            stats.metadataInsns = asCount(v);
-        else if (key == "l1_accesses")
-            stats.l1Accesses = asCount(v);
-        else if (key == "l2_accesses")
-            stats.l2Accesses = asCount(v);
-        else if (key == "dram_accesses")
-            stats.dramAccesses = asCount(v);
-        else if (key == "rf_reads")
-            stats.rfReads = asCount(v);
-        else if (key == "rf_writes")
-            stats.rfWrites = asCount(v);
-        else if (key == "rename_lookups")
-            stats.renameLookups = asCount(v);
-        else if (key == "lrf_accesses")
-            stats.lrfAccesses = asCount(v);
-        else if (key == "orf_accesses")
-            stats.orfAccesses = asCount(v);
-        else if (key == "mrf_accesses")
-            stats.mrfAccesses = asCount(v);
-        else if (key == "osu_accesses")
-            stats.osuAccesses = asCount(v);
-        else if (key == "osu_tag_lookups")
-            stats.osuTagLookups = asCount(v);
-        else if (key == "osu_bank_conflicts")
-            stats.osuBankConflicts = asCount(v);
-        else if (key == "compressor_accesses")
-            stats.compressorAccesses = asCount(v);
-        else if (key == "compressor_matches")
-            stats.compressorMatches = asCount(v);
-        else if (key == "compressor_incompressible")
-            stats.compressorIncompressible = asCount(v);
-        else if (key == "compressor_static_hits")
-            stats.compressorStaticHits = asCount(v);
-        else if (key == "compressor_static_unsound")
-            stats.compressorStaticUnsound = asCount(v);
-        else if (key == "osu_gated_bank_cycles")
-            stats.osuGatedBankCycles = asCount(v);
-        else if (key == "rf_cache_hits")
-            stats.rfCacheHits = asCount(v);
-        else if (key == "rf_cache_misses")
-            stats.rfCacheMisses = asCount(v);
-        else if (key == "spill_stores")
-            stats.spillStores = asCount(v);
-        else if (key == "fill_loads")
-            stats.fillLoads = asCount(v);
-        else if (key == "preload_src_osu")
-            stats.preloadSrcOsu = asCount(v);
-        else if (key == "preload_src_compressor")
-            stats.preloadSrcCompressor = asCount(v);
-        else if (key == "preload_src_l1")
-            stats.preloadSrcL1 = asCount(v);
-        else if (key == "preload_src_l2dram")
-            stats.preloadSrcL2Dram = asCount(v);
-        else if (key == "l1_preload_reqs")
-            stats.l1PreloadReqs = asCount(v);
-        else if (key == "l1_store_reqs")
-            stats.l1StoreReqs = asCount(v);
-        else if (key == "l1_invalidate_reqs")
-            stats.l1InvalidateReqs = asCount(v);
-        else if (key == "issued_slots")
-            stats.issuedSlots = asCount(v);
-        else if (key.rfind("stall_", 0) == 0) {
+    if constexpr (std::is_same_v<T, std::string>) {
+        out = reader.parseString();
+    } else if constexpr (std::is_same_v<T, ProviderKind>) {
+        const std::string name = reader.parseString();
+        if (!tryProviderFromName(name, out))
+            parseFail("stats JSON: unknown provider '", name, "'");
+    } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+        out = reader.parseNumberArray();
+    } else if constexpr (std::is_floating_point_v<T>) {
+        out = reader.parseNumber();
+    } else {
+        out = readCount<T>(reader);
+    }
+}
+
+template <typename S>
+bool readField(S &s, std::string_view key, JsonReader &reader);
+
+/**
+ * A key of a nested vector, after its prefix: kCountSuffix sizes the
+ * vector (it precedes the items in emission order), and "<i>_<key>"
+ * is @a key of item i. Keys of items past the count are unknown.
+ */
+template <typename T>
+bool
+readItem(std::vector<T> &items, std::string_view key, JsonReader &reader)
+{
+    if (key == kCountSuffix) {
+        // Every item takes more than a byte of input, so a larger
+        // count is hostile and would only exhaust memory.
+        items.resize(readCount<std::size_t>(
+            reader, static_cast<double>(reader.size())));
+        return true;
+    }
+    std::size_t i = 0;
+    const char *const end = key.data() + key.size();
+    const auto [sep, err] = std::from_chars(key.data(), end, i);
+    if (err != std::errc() || sep == end || *sep != '_' ||
+        i >= items.size())
+        return false;
+    return readField(items[i], std::string_view(sep + 1, end), reader);
+}
+
+/**
+ * Read the value of the field of @a s whose key (relative to @a s's
+ * table) is @a key. False, with the value unread, when no row has the
+ * key: unknown keys are skipped so the schema can grow.
+ */
+template <typename S>
+bool
+readField(S &s, std::string_view key, JsonReader &reader)
+{
+    bool found = false;
+    forEachField<S>([&](const auto &row) {
+        if (found || !key.starts_with(row.key))
+            return;
+        using T = FieldType<decltype(row)>;
+        const std::string_view rest = key.substr(row.key.size());
+        if constexpr (std::is_function_v<T>) {
+            // Derived (energy_total): written for readers, never read.
+            return;
+        } else if constexpr (HasFields<T>) {
+            found = readField(s.*row.member, rest, reader);
+        } else if constexpr (kIsTableVector<T>) {
+            found = readItem(s.*row.member, rest, reader);
+        } else if constexpr (std::is_same_v<T, StallCounts>) {
             for (std::size_t c = 0; c < arch::kNumStallCauses; ++c) {
                 const auto cause = static_cast<arch::StallCause>(c);
-                if (key.compare(6, std::string::npos,
-                                arch::stallCauseName(cause)) == 0) {
-                    stats.stallSlots[c] = asCount(v);
+                if (rest == arch::stallCauseName(cause)) {
+                    (s.*row.member)[c] = readCount<std::uint64_t>(reader);
+                    found = true;
                     break;
                 }
             }
+        } else if (rest.empty()) {
+            readValue(reader, s.*row.member);
+            found = true;
         }
-        else if (key == "skipped_cycles")
-            stats.skippedCycles = asCount(v);
-        else if (key == "skip_events")
-            stats.skipEvents = asCount(v);
-        else if (key == "working_set_bytes")
-            stats.meanWorkingSetBytes = v.num;
-        else if (key == "region_preloads_mean")
-            stats.regionPreloadsMean = v.num;
-        else if (key == "region_live_mean")
-            stats.regionLiveMean = v.num;
-        else if (key == "region_live_stddev")
-            stats.regionLiveStddev = v.num;
-        else if (key == "region_cycles_mean")
-            stats.regionCyclesMean = v.num;
-        else if (key == "region_insns_mean")
-            stats.regionInsnsMean = v.num;
-        else if (key == "static_insns_per_region")
-            stats.staticInsnsPerRegion = v.num;
-        else if (key == "num_regions")
-            stats.numRegions = static_cast<unsigned>(v.num);
-        else if (key == "energy_reg_dynamic")
-            stats.energy.regDynamic = v.num;
-        else if (key == "energy_reg_static")
-            stats.energy.regStatic = v.num;
-        else if (key == "energy_compressor")
-            stats.energy.compressor = v.num;
-        else if (key == "energy_memory")
-            stats.energy.memory = v.num;
-        else if (key == "energy_rest")
-            stats.energy.rest = v.num;
-        else if (key == "backing_series")
-            stats.backingSeries = v.array;
-        else if (key == "tenant_count")
-            stats.tenants.resize(static_cast<std::size_t>(v.num));
-        else if (key.rfind("tenant", 0) == 0) {
-            // "tenant<t>_<field>"; tenant_count precedes the lanes in
-            // writeRunFields' emission order, so the vector is sized.
-            const std::size_t sep = key.find('_');
-            if (sep == std::string::npos || sep <= 6)
-                return;
-            char *end = nullptr;
-            const unsigned long t =
-                std::strtoul(key.c_str() + 6, &end, 10);
-            if (end != key.c_str() + sep || t >= stats.tenants.size())
-                return;
-            TenantLane &lane = stats.tenants[t];
-            const std::string field = key.substr(sep + 1);
-            if (field == "kernel")
-                lane.kernel = v.str;
-            else if (field == "insns")
-                lane.insns = asCount(v);
-            else if (field == "issued_slots")
-                lane.issuedSlots = asCount(v);
-            else if (field == "finish_cycle")
-                lane.finishCycle = static_cast<Cycle>(v.num);
-            else if (field == "suspended_cycles")
-                lane.suspendedCycles = asCount(v);
-            else if (field == "preemptions")
-                lane.preemptions = asCount(v);
-            else if (field.rfind("stall_", 0) == 0) {
-                for (std::size_t c = 0; c < arch::kNumStallCauses;
-                     ++c) {
-                    const auto cause =
-                        static_cast<arch::StallCause>(c);
-                    if (field.compare(6, std::string::npos,
-                                      arch::stallCauseName(cause)) ==
-                        0) {
-                        lane.stallSlots[c] = asCount(v);
-                        break;
-                    }
-                }
-            }
-        }
-        // Unknown keys (e.g. derived "energy_total") are ignored.
+    });
+    return found;
 }
 
 RunStats
 parseRun(JsonReader &reader)
 {
     RunStats stats;
-    reader.parseObject([&](const std::string &key,
-                           const JsonReader::Value &v) {
-        applyRunField(stats, key, v);
+    reader.parseObject([&](const std::string &key) {
+        if (!readField(stats, key, reader))
+            reader.skipValue();
     });
     return stats;
 }
 
-/** Emit the RunStats fields into an open object (shared by the plain
- * writer and the JobRecord writer). */
-void
-writeRunFields(JsonObject &obj, const RunStats &stats)
+/** Turn a parse failure into false and the diagnostic in @a error. */
+template <typename Fn>
+bool
+tryParse(Fn &&parse, std::string *error)
 {
-    obj.field("kernel", stats.kernel);
-    obj.field("provider", std::string(providerName(stats.provider)));
-    obj.field("cycles", static_cast<std::uint64_t>(stats.cycles));
-    obj.field("insns", stats.insns);
-    obj.field("metadata_insns", stats.metadataInsns);
-    obj.field("l1_accesses", stats.l1Accesses);
-    obj.field("l2_accesses", stats.l2Accesses);
-    obj.field("dram_accesses", stats.dramAccesses);
-    obj.field("rf_reads", stats.rfReads);
-    obj.field("rf_writes", stats.rfWrites);
-    obj.field("rename_lookups", stats.renameLookups);
-    obj.field("lrf_accesses", stats.lrfAccesses);
-    obj.field("orf_accesses", stats.orfAccesses);
-    obj.field("mrf_accesses", stats.mrfAccesses);
-    obj.field("osu_accesses", stats.osuAccesses);
-    obj.field("osu_tag_lookups", stats.osuTagLookups);
-    obj.field("osu_bank_conflicts", stats.osuBankConflicts);
-    obj.field("compressor_accesses", stats.compressorAccesses);
-    obj.field("compressor_matches", stats.compressorMatches);
-    obj.field("compressor_incompressible",
-              stats.compressorIncompressible);
-    obj.field("compressor_static_hits", stats.compressorStaticHits);
-    obj.field("compressor_static_unsound",
-              stats.compressorStaticUnsound);
-    obj.field("osu_gated_bank_cycles", stats.osuGatedBankCycles);
-    obj.field("rf_cache_hits", stats.rfCacheHits);
-    obj.field("rf_cache_misses", stats.rfCacheMisses);
-    obj.field("spill_stores", stats.spillStores);
-    obj.field("fill_loads", stats.fillLoads);
-    obj.field("preload_src_osu", stats.preloadSrcOsu);
-    obj.field("preload_src_compressor", stats.preloadSrcCompressor);
-    obj.field("preload_src_l1", stats.preloadSrcL1);
-    obj.field("preload_src_l2dram", stats.preloadSrcL2Dram);
-    obj.field("l1_preload_reqs", stats.l1PreloadReqs);
-    obj.field("l1_store_reqs", stats.l1StoreReqs);
-    obj.field("l1_invalidate_reqs", stats.l1InvalidateReqs);
-    obj.field("issued_slots", stats.issuedSlots);
-    for (std::size_t c = 0; c < arch::kNumStallCauses; ++c) {
-        const std::string key =
-            std::string("stall_") +
-            arch::stallCauseName(static_cast<arch::StallCause>(c));
-        obj.field(key.c_str(), stats.stallSlots[c]);
+    try {
+        parse();
+        return true;
+    } catch (const JsonParseError &e) {
+        if (error)
+            *error = e.what();
+        return false;
     }
-    obj.field("skipped_cycles", stats.skippedCycles);
-    obj.field("skip_events", stats.skipEvents);
-    obj.field("working_set_bytes", stats.meanWorkingSetBytes);
-    obj.field("region_preloads_mean", stats.regionPreloadsMean);
-    obj.field("region_live_mean", stats.regionLiveMean);
-    obj.field("region_live_stddev", stats.regionLiveStddev);
-    obj.field("region_cycles_mean", stats.regionCyclesMean);
-    obj.field("region_insns_mean", stats.regionInsnsMean);
-    obj.field("static_insns_per_region", stats.staticInsnsPerRegion);
-    obj.field("num_regions",
-              static_cast<std::uint64_t>(stats.numRegions));
-    obj.field("energy_reg_dynamic", stats.energy.regDynamic);
-    obj.field("energy_reg_static", stats.energy.regStatic);
-    obj.field("energy_compressor", stats.energy.compressor);
-    obj.field("energy_memory", stats.energy.memory);
-    obj.field("energy_rest", stats.energy.rest);
-    obj.field("energy_total", stats.energy.total());
-    obj.fieldArray("backing_series", stats.backingSeries);
-    // Tenant lanes are emitted only when present, so single-tenant
-    // JSON stays byte-identical to pre-tenant builds.
-    if (!stats.tenants.empty()) {
-        obj.field("tenant_count",
-                  static_cast<std::uint64_t>(stats.tenants.size()));
-        for (std::size_t t = 0; t < stats.tenants.size(); ++t) {
-            const TenantLane &lane = stats.tenants[t];
-            const std::string p = "tenant" + std::to_string(t) + "_";
-            obj.field((p + "kernel").c_str(), lane.kernel);
-            obj.field((p + "insns").c_str(), lane.insns);
-            obj.field((p + "issued_slots").c_str(), lane.issuedSlots);
+}
+
+/** Write one object at full precision, so doubles survive a write ->
+ * read round-trip. */
+template <typename Fn>
+void
+writeObject(std::ostream &os, Fn &&fill)
+{
+    const auto saved =
+        os.precision(std::numeric_limits<double>::max_digits10);
+    {
+        JsonObject obj(os);
+        fill(obj);
+    }
+    os.precision(saved);
+}
+
+/** Emit the fields of @a s's table into an open object (shared by the
+ * plain writer and the JobRecord writer). */
+template <typename S>
+void
+writeFields(JsonObject &obj, const std::string &prefix, const S &s)
+{
+    forEachField<S>([&](const auto &row) {
+        using T = FieldType<decltype(row)>;
+        if constexpr (std::is_function_v<T>) {
+            obj.field(prefix, row.key, (s.*row.member)());
+        } else if constexpr (HasFields<T>) {
+            writeFields(obj, prefix + std::string(row.key), s.*row.member);
+        } else if constexpr (kIsTableVector<T>) {
+            // Items are emitted only when present, so single-tenant
+            // JSON stays byte-identical to pre-tenant builds.
+            const T &items = s.*row.member;
+            if (items.empty())
+                return;
+            const std::string inner = prefix + std::string(row.key);
+            obj.field(inner, kCountSuffix,
+                      static_cast<std::uint64_t>(items.size()));
+            for (std::size_t i = 0; i < items.size(); ++i)
+                writeFields(obj, inner + std::to_string(i) + "_",
+                            items[i]);
+        } else if constexpr (std::is_same_v<T, StallCounts>) {
+            const std::string inner = prefix + std::string(row.key);
             for (std::size_t c = 0; c < arch::kNumStallCauses; ++c) {
-                const std::string key =
-                    p + "stall_" +
-                    arch::stallCauseName(
-                        static_cast<arch::StallCause>(c));
-                obj.field(key.c_str(), lane.stallSlots[c]);
+                obj.field(inner,
+                          arch::stallCauseName(
+                              static_cast<arch::StallCause>(c)),
+                          (s.*row.member)[c]);
             }
-            obj.field((p + "finish_cycle").c_str(),
-                      static_cast<std::uint64_t>(lane.finishCycle));
-            obj.field((p + "suspended_cycles").c_str(),
-                      lane.suspendedCycles);
-            obj.field((p + "preemptions").c_str(), lane.preemptions);
+        } else {
+            obj.field(prefix, row.key, s.*row.member);
         }
-    }
+    });
 }
 
 } // namespace
@@ -545,16 +436,7 @@ tryJobStatusFromName(const std::string &name, JobStatus &out)
 void
 writeJson(std::ostream &os, const RunStats &stats)
 {
-    // Full precision so doubles survive a write -> read round-trip.
-    const auto saved = os.precision(
-        std::numeric_limits<double>::max_digits10);
-
-    {
-        JsonObject obj(os);
-        writeRunFields(obj, stats);
-    }
-
-    os.precision(saved);
+    writeObject(os, [&](JsonObject &obj) { writeFields(obj, {}, stats); });
 }
 
 void
@@ -590,105 +472,85 @@ fromJson(const std::string &json)
 bool
 tryFromJson(const std::string &json, RunStats &out, std::string *error)
 {
-    try {
-        JsonReader reader(json);
-        out = parseRun(reader);
-        return true;
-    } catch (const JsonParseError &e) {
-        if (error)
-            *error = e.what();
-        return false;
-    }
+    return tryParse(
+        [&] {
+            JsonReader reader(json);
+            out = parseRun(reader);
+        },
+        error);
 }
 
 void
 writeJson(std::ostream &os, const JobRecord &record)
 {
-    const auto saved = os.precision(
-        std::numeric_limits<double>::max_digits10);
-    {
-        // record_* first so a human (or grep) sees the outcome before
-        // the stats body. The error/deadlock strings may span lines;
-        // our reader accepts raw newlines inside strings (this is a
-        // private round-trip format, not interchange JSON).
-        JsonObject obj(os);
-        obj.field("record_schema",
-                  static_cast<std::uint64_t>(record.schema));
+    // record_* first so a human (or grep) sees the outcome before the
+    // stats body. The error/deadlock strings may span lines; our reader
+    // accepts raw newlines inside strings (this is a private round-trip
+    // format, not interchange JSON).
+    writeObject(os, [&](JsonObject &obj) {
+        obj.field("record_schema", record.schema);
         obj.field("record_status",
                   std::string(jobStatusName(record.status)));
         obj.field("record_error", record.error);
         obj.field("record_deadlock", record.deadlock);
-        obj.field("record_attempts",
-                  static_cast<std::uint64_t>(record.attempts));
-        writeRunFields(obj, record.stats);
-    }
-    os.precision(saved);
+        obj.field("record_attempts", record.attempts);
+        writeFields(obj, {}, record.stats);
+    });
 }
 
 bool
 tryRecordFromJson(const std::string &json, JobRecord &out,
                   std::string *error)
 {
-    try {
-        JobRecord record;
-        bool saw_schema = false, saw_status = false;
-        JsonReader reader(json);
-        reader.parseObject([&](const std::string &key,
-                               const JsonReader::Value &v) {
-            if (key == "record_schema") {
-                record.schema = static_cast<unsigned>(v.num);
-                saw_schema = true;
-            } else if (key == "record_status") {
-                if (!tryJobStatusFromName(v.str, record.status))
-                    parseFail("stats JSON: unknown record status '",
-                              v.str, "'");
-                saw_status = true;
-            } else if (key == "record_error") {
-                record.error = v.str;
-            } else if (key == "record_deadlock") {
-                record.deadlock = v.str;
-            } else if (key == "record_attempts") {
-                record.attempts = static_cast<unsigned>(v.num);
-            } else {
-                applyRunField(record.stats, key, v);
+    return tryParse(
+        [&] {
+            JobRecord record;
+            bool saw_schema = false, saw_status = false;
+            JsonReader reader(json);
+            reader.parseObject([&](const std::string &key) {
+                if (key == "record_schema") {
+                    record.schema = readCount<unsigned>(reader);
+                    saw_schema = true;
+                } else if (key == "record_status") {
+                    const std::string name = reader.parseString();
+                    if (!tryJobStatusFromName(name, record.status))
+                        parseFail("stats JSON: unknown record status '",
+                                  name, "'");
+                    saw_status = true;
+                } else if (key == "record_error") {
+                    record.error = reader.parseString();
+                } else if (key == "record_deadlock") {
+                    record.deadlock = reader.parseString();
+                } else if (key == "record_attempts") {
+                    record.attempts = readCount<unsigned>(reader);
+                } else if (!readField(record.stats, key, reader)) {
+                    reader.skipValue();
+                }
+            });
+            if (!saw_schema || !saw_status) {
+                parseFail("stats JSON: not a job record (pre-watchdog "
+                          "cache entry?)");
             }
-        });
-        if (!saw_schema || !saw_status) {
-            parseFail("stats JSON: not a job record (pre-watchdog "
-                      "cache entry?)");
-        }
-        out = std::move(record);
-        return true;
-    } catch (const JsonParseError &e) {
-        if (error)
-            *error = e.what();
-        return false;
-    }
+            out = std::move(record);
+        },
+        error);
 }
 
 std::vector<RunStats>
 runsFromJson(const std::string &json)
 {
-    try {
-        JsonReader reader(json);
-        std::vector<RunStats> runs;
-        reader.expect('[');
-        if (reader.peek() == ']')
-            return runs;
-        for (;;) {
-            runs.push_back(parseRun(reader));
-            char c = reader.peek();
-            if (c == ']')
-                return runs;
-            if (c != ',')
-                parseFail(
-                    "stats JSON: expected ',' or ']' between runs");
-            // consume the comma
-            reader.expect(',');
-        }
-    } catch (const JsonParseError &e) {
-        fatal(e.what());
-    }
+    std::vector<RunStats> runs;
+    std::string error;
+    if (!tryParse(
+            [&] {
+                JsonReader reader(json);
+                reader.parseList('[', ']', [&] {
+                    runs.push_back(parseRun(reader));
+                });
+            },
+            &error))
+        fatal(error);
+    return runs;
 }
 
 } // namespace regless::sim

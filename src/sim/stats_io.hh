@@ -77,7 +77,9 @@ std::string toJson(const RunStats &stats);
 /**
  * Parse one RunStats from a JSON object produced by writeJson().
  * Unknown keys are ignored (schema may grow); missing keys leave the
- * field at its default. fatal() on malformed input.
+ * field at its default. fatal() on malformed input, which includes a
+ * value of the wrong kind and a count that is negative, fractional or
+ * out of its field's range.
  */
 RunStats fromJson(const std::string &json);
 

@@ -204,8 +204,16 @@ TEST(JobCacheLoad, CorruptAndTornEntriesAreCountedMisses)
         << "{]not json";
     EXPECT_FALSE(cache.load(key, out));
     EXPECT_EQ(cache.counters().corrupt, 2u);
+
+    // A hostile count that would size a huge allocation is corrupt
+    // too, not a crash.
+    std::ofstream(cache.entryPath(key),
+                  std::ios::binary | std::ios::trunc)
+        << text.substr(0, text.rfind('}')) << ",\"tenant_count\":1e18}";
+    EXPECT_FALSE(cache.load(key, out));
+    EXPECT_EQ(cache.counters().corrupt, 3u);
     EXPECT_FALSE(cache.load(syntheticKey(2), out));
-    EXPECT_EQ(cache.counters().misses, 3u);
+    EXPECT_EQ(cache.counters().misses, 4u);
     EXPECT_EQ(cache.counters().hits, 1u);
 }
 
