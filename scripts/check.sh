@@ -5,7 +5,10 @@
 #   2. the cycle-skip differential oracle (ctest label "oracle"):
 #      skip-on vs skip-off byte-identity across the Rodinia set, every
 #      registered provider, multi-SM thread counts, traces, and fault
-#      plans;
+#      plans; the same label carries the report pin (report_pin: the
+#      cold `regless_report --no-cache` text against
+#      perfbench/golden/report_cold.txt), which catches a bug in a
+#      path both oracle sides share, such as the cached issue scan;
 #   3. the provider-registry contract suite (ctest label "providers"):
 #      every registered provider end-to-end under the closed stall
 #      account and memory-image invariants (DESIGN.md §13);
@@ -18,7 +21,8 @@
 #      test, starved-tenant reporting, and QoS (DESIGN.md §16);
 #   6. ASan and TSan passes over the skip-enabled determinism subset
 #      (the SoA warp state and bulk stall-charging touch hot arrays;
-#      the multi-SM epoch loop skips under worker threads);
+#      the multi-SM epoch loop skips under worker threads), with the
+#      incremental-eligibility edge tests under ASan;
 #   7. a UBSan pass over stats JSON and cache-entry parsing (hostile
 #      numbers must be parse failures, never out-of-range casts).
 set -euo pipefail
@@ -69,14 +73,16 @@ cmake --build "$BUILD_DIR" -j
 (cd "$BUILD_DIR" && ctest --output-on-failure -L tenants -j "$(nproc)")
 
 # Skip-enabled determinism subset under AddressSanitizer: the oracle
-# sweep plus the property fuzzer (random kernels + fault plans).
+# sweep, the property fuzzer (random kernels + fault plans), and the
+# edge tests of the SM's cached scoreboard verdicts.
 ASAN_DIR=${ASAN_BUILD_DIR:-build-asan}
 cmake -B "$ASAN_DIR" -S . -DREGLESS_SANITIZE=address
 cmake --build "$ASAN_DIR" -j --target regless_tests \
     --target regless_oracle_tests
 "$ASAN_DIR"/tests/regless_oracle_tests \
     --gtest_filter='*CycleSkipOracle*:CycleSkip*'
-"$ASAN_DIR"/tests/regless_tests --gtest_filter='*CycleSkipFuzz*'
+"$ASAN_DIR"/tests/regless_tests \
+    --gtest_filter='*CycleSkipFuzz*:IncrementalEligibility*'
 
 # Same subset's parallel face under ThreadSanitizer: epoch-clamped
 # skipping on worker threads must stay race-free.

@@ -15,16 +15,14 @@ Scoreboard::Scoreboard(unsigned num_warps, unsigned num_regs,
 {
 }
 
-std::size_t
-Scoreboard::index(WarpId warp, RegId reg) const
+void
+Scoreboard::outOfRange(WarpId warp, RegId reg) const
 {
-    if (warp < _warpBase || warp >= _warpBase + _numWarps) {
+    if (warp - _warpBase >= _numWarps) {
         panic("scoreboard: warp ", warp, " outside supervised range [",
               _warpBase, ", ", _warpBase + _numWarps, ")");
     }
-    if (reg >= _numRegs)
-        panic("scoreboard: register ", reg, " >= ", _numRegs);
-    return static_cast<std::size_t>(warp - _warpBase) * _numRegs + reg;
+    panic("scoreboard: register ", reg, " >= ", _numRegs);
 }
 
 bool
@@ -80,12 +78,6 @@ Scoreboard::nextReadyChange(WarpId warp, const ir::Instruction &insn,
     if (insn.writesReg())
         consider(insn.dst());
     return next;
-}
-
-Cycle
-Scoreboard::readyAt(WarpId warp, RegId reg) const
-{
-    return _readyCycle[index(warp, reg)];
 }
 
 Cycle

@@ -58,7 +58,10 @@ class Scoreboard
                      Cycle when);
 
     /** Ready cycle of a specific register (for drain tracking). */
-    Cycle readyAt(WarpId warp, RegId reg) const;
+    Cycle readyAt(WarpId warp, RegId reg) const
+    {
+        return _readyCycle[index(warp, reg)];
+    }
 
     /**
      * Earliest cycle after @a now at which the set of registers
@@ -85,7 +88,16 @@ class Scoreboard
 
   private:
     /** Flat index of (warp, reg); panics outside the range. */
-    std::size_t index(WarpId warp, RegId reg) const;
+    std::size_t index(WarpId warp, RegId reg) const
+    {
+        // One unsigned compare covers both ends of the warp range.
+        if (warp - _warpBase >= _numWarps || reg >= _numRegs)
+            outOfRange(warp, reg);
+        return static_cast<std::size_t>(warp - _warpBase) * _numRegs + reg;
+    }
+
+    /** The panic behind index(), kept off the inlined fast path. */
+    [[noreturn, gnu::cold]] void outOfRange(WarpId warp, RegId reg) const;
 
     unsigned _numRegs;
     unsigned _numWarps;

@@ -10,12 +10,10 @@ SimtStack::SimtStack()
     _entries.push_back(SimtEntry{0, fullMask, invalidPc});
 }
 
-Pc
-SimtStack::pc() const
+void
+SimtStack::pcOnExited()
 {
-    if (_entries.empty())
-        panic("SimtStack::pc on exited warp");
-    return _entries.back().pc;
+    panic("SimtStack::pc on exited warp");
 }
 
 LaneMask

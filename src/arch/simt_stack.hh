@@ -35,7 +35,12 @@ class SimtStack
     SimtStack();
 
     /** Current fetch PC. */
-    Pc pc() const;
+    Pc pc() const
+    {
+        if (_entries.empty())
+            pcOnExited();
+        return _entries.back().pc;
+    }
 
     /** Current active mask. */
     LaneMask activeMask() const;
@@ -67,6 +72,9 @@ class SimtStack
     std::size_t depth() const { return _entries.size(); }
 
   private:
+    /** The panic behind pc(), kept off the inlined fast path. */
+    [[noreturn, gnu::cold]] static void pcOnExited();
+
     /** Pop entries whose pc reached their reconvergence point. */
     void reconverge();
 

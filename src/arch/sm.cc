@@ -1,12 +1,21 @@
 #include "arch/sm.hh"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "common/logging.hh"
 
 namespace regless::arch
 {
+
+namespace
+{
+
+/** SbVerdict::validUntil of a ready verdict: valid until issue. */
+constexpr Cycle kNoSbExpiry = std::numeric_limits<Cycle>::max();
+
+} // namespace
 
 Sm::Tenant::Tenant(const SmTenantSpec &spec, WarpId warp_base,
                    unsigned warp_count, unsigned sched_base,
@@ -39,6 +48,7 @@ Sm::Sm(std::vector<SmTenantSpec> tenants, mem::MemorySystem &mem,
       _cfg(config),
       _stats("sm"),
       _issued(_stats.counter("insns_issued")),
+      _sbVerdicts(_stats.counter("sb_verdicts")),
       _slotIssued(_stats.counter("issued_slots")),
       _divergentBranches(_stats.counter("divergent_branches")),
       _memTransactions(_stats.counter("global_mem_transactions")),
@@ -72,6 +82,7 @@ Sm::Sm(std::vector<SmTenantSpec> tenants, mem::MemorySystem &mem,
     // ids; block ids and thread indices are tenant-local, so each
     // tenant sees the same launch geometry as a solo run.
     _warps.reserve(_cfg.numWarps);
+    _verdicts.resize(_cfg.numWarps);
     _tenantOf.resize(_cfg.numWarps);
     for (unsigned t = 0; t < num_tenants; ++t) {
         const SmTenantSpec &spec = tenants[t];
@@ -122,17 +133,25 @@ Sm::Sm(std::vector<SmTenantSpec> tenants, mem::MemorySystem &mem,
     _chargedWarps.reserve(_cfg.numWarps);
 }
 
-bool
-Sm::done() const
+std::unique_ptr<WarpScheduler>
+Sm::exchangeScheduler(unsigned g,
+                      std::unique_ptr<WarpScheduler> replacement)
 {
-    return std::all_of(_warps.begin(), _warps.end(),
-                       [](const Warp &w) { return w.finished(); });
+    std::unique_ptr<WarpScheduler> &slot = _schedulers.at(g);
+    if (!replacement || replacement->warps() != slot->warps())
+        panic("replacement scheduler for group ", g,
+              " must supervise the same warps");
+    std::swap(slot, replacement);
+    _schedulersQuiescent = true;
+    for (const auto &sched : _schedulers)
+        _schedulersQuiescent &= sched->quiescentWhenStalled();
+    return replacement;
 }
 
 bool
 Sm::tenantDone(unsigned t) const
 {
-    return tenant(t).finished;
+    return tenant(t).finished();
 }
 
 std::uint64_t
@@ -149,7 +168,7 @@ void
 Sm::requestSuspend(unsigned t, Cycle now)
 {
     Tenant &tn = tenant(t);
-    if (tn.suspended || tn.suspendRequested || tn.finished)
+    if (tn.suspended || tn.suspendRequested || tn.finished())
         return;
     tn.suspendRequested = true;
     ++tn.preemptions;
@@ -221,6 +240,39 @@ Sm::admitBlocks(Tenant &tn)
     }
 }
 
+const Sm::SbVerdict &
+Sm::recomputeVerdict(Tenant &tn, const Warp &warp, Cycle now)
+{
+    SbVerdict &v = _verdicts[warp.id()];
+    ++_sbVerdicts;
+    const Scoreboard &sb = tn.scoreboard;
+    const ir::Instruction &insn = tn.kernel->insn(warp.pc());
+    v.insn = &insn;
+    v.ready = sb.ready(warp.id(), insn, now);
+    v.longStall = false;
+    if (v.ready) {
+        v.validUntil = kNoSbExpiry;
+        return v;
+    }
+    v.nextChange = sb.nextReadyChange(warp.id(), insn, now);
+    v.validUntil = v.nextChange;
+    // Long-latency source? (feeds the two-level demotion) The flag
+    // holds while now + threshold < readyAt, so the verdict expires
+    // when the first such source comes within the threshold.
+    for (RegId src : insn.srcs()) {
+        const Cycle at = sb.readyAt(warp.id(), src);
+        if (at > now + _cfg.longStallThreshold) {
+            v.longStall = true;
+            v.validUntil =
+                std::min(v.validUntil, at - _cfg.longStallThreshold);
+        }
+    }
+    v.cause = sb.blockedOnMem(warp.id(), insn, now)
+                  ? StallCause::MemPending
+                  : StallCause::ScoreboardDep;
+    return v;
+}
+
 bool
 Sm::eligible(Tenant &tn, const Warp &warp, Cycle now, bool *long_stall,
              StallCause *cause, Cycle *next_event)
@@ -249,20 +301,13 @@ Sm::eligible(Tenant &tn, const Warp &warp, Cycle now, bool *long_stall,
         return blocked(StallCause::SyncBarrier);
     if (warp.status() != WarpStatus::Running)
         return blocked(StallCause::NoWarp);
-    const ir::Instruction &insn = tn.kernel->insn(warp.pc());
-    if (!tn.scoreboard.ready(warp.id(), insn, now)) {
-        // Long-latency source? (feeds the two-level demotion)
-        for (RegId src : insn.srcs()) {
-            if (tn.scoreboard.readyAt(warp.id(), src) >
-                now + _cfg.longStallThreshold) {
-                *long_stall = true;
-            }
-        }
-        bound(tn.scoreboard.nextReadyChange(warp.id(), insn, now));
-        return blocked(tn.scoreboard.blockedOnMem(warp.id(), insn, now)
-                           ? StallCause::MemPending
-                           : StallCause::ScoreboardDep);
+    const SbVerdict &v = verdict(tn, warp, now);
+    if (!v.ready) {
+        *long_stall = v.longStall;
+        bound(v.nextChange);
+        return blocked(v.cause);
     }
+    const ir::Instruction &insn = *v.insn;
     if (insn.isGlobalLoad() || insn.isGlobalStore()) {
         if (!_mem.l1PortFree(now)) {
             bound(_mem.nextEventCycle(now));
@@ -462,19 +507,11 @@ Sm::execExit(Tenant &tn, Warp &warp, Cycle now)
     warp.stack().exitLanes();
     if (warp.stack().allExited()) {
         warp.setStatus(WarpStatus::Finished);
+        ++_finishedWarps;
         tn.provider->onWarpFinished(warp, now);
         checkBarrier(tn, warp.blockId());
-        if (!tn.finished) {
-            bool all = true;
-            for (WarpId w = tn.warpBase;
-                 w < tn.warpBase + tn.warpCount; ++w) {
-                all &= _warps[w].finished();
-            }
-            if (all) {
-                tn.finished = true;
-                tn.finishCycle = now;
-            }
-        }
+        if (++tn.finishedWarps == tn.warpCount)
+            tn.finishCycle = now;
         // If the whole block finished, its residency slots free up.
         if (_cfg.maxResidentWarps != 0) {
             const unsigned wpb = tn.kernel->warpsPerBlock();
@@ -496,6 +533,8 @@ Sm::issue(Tenant &tn, Warp &warp, Cycle now)
 {
     const Pc pc = warp.pc();
     const ir::Instruction &insn = tn.kernel->insn(pc);
+    // This issue writes the warp's scoreboard row and moves its PC.
+    _verdicts[warp.id()].validUntil = 0;
     if (_issueHook)
         _issueHook(warp, pc, insn, now);
     Cycle delay = tn.provider->operandDelay(warp, insn, now);

@@ -145,7 +145,7 @@ class Sm
     std::uint64_t skipEvents() const { return _skipEvents.value(); }
 
     /** @return true when every warp has finished. */
-    bool done() const;
+    bool done() const { return _finishedWarps == _warps.size(); }
 
     Cycle now() const { return _now; }
     const std::vector<Warp> &warps() const { return _warps; }
@@ -153,6 +153,16 @@ class Sm
 
     StatGroup &stats() { return _stats; }
     std::uint64_t totalInsns() const { return _issued.value(); }
+
+    /**
+     * Swap scheduler group @a g's policy object for @a replacement,
+     * which must supervise the same warps, and return the old one.
+     * Lets a decorator observe the SM's scheduler feedback (e.g. the
+     * cycles notifyLongStall fires). Call before the first step.
+     */
+    std::unique_ptr<WarpScheduler>
+    exchangeScheduler(unsigned g,
+                      std::unique_ptr<WarpScheduler> replacement);
 
     /** Observer invoked for every issued instruction (tracing). */
     using IssueHook = std::function<void(
@@ -294,8 +304,9 @@ class Sm
         std::uint64_t suspendedCycles = 0;
         std::uint64_t preemptions = 0;
         ///@}
-        bool finished = false;
+        unsigned finishedWarps = 0;
         Cycle finishCycle = 0;
+        bool finished() const { return finishedWarps == warpCount; }
         /** @name Closed per-tenant account (plain counters: they
          *  shadow the SM-wide Counter objects slot for slot). */
         ///@{
@@ -327,6 +338,41 @@ class Sm
     {
         return *_tenants[_tenantOf[warp.id()]];
     }
+
+    /**
+     * A warp's cached scoreboard verdict on the instruction at its PC
+     * (DESIGN.md §12, incremental eligibility). Only the warp's own
+     * issue writes its scoreboard row or moves its PC, so between
+     * issues the verdict is a function of time alone: a ready verdict
+     * holds until the warp issues, a blocked one until the earliest
+     * pending register clears (the MemPending / ScoreboardDep flip
+     * point) or a long-latency source comes within
+     * longStallThreshold of its ready cycle.
+     */
+    struct SbVerdict
+    {
+        /** Recompute once now reaches this cycle (0: stale). */
+        Cycle validUntil = 0;
+        /** Blocked only: Scoreboard::nextReadyChange at compute time. */
+        Cycle nextChange = 0;
+        /** The instruction at the warp's PC when computed. */
+        const ir::Instruction *insn = nullptr;
+        StallCause cause = StallCause::NoWarp;
+        bool ready = false;
+        /** Blocked only: a source is a long-latency stall. */
+        bool longStall = false;
+    };
+
+    /** @a warp's verdict at @a now, recomputed only when expired. */
+    const SbVerdict &verdict(Tenant &tn, const Warp &warp, Cycle now)
+    {
+        SbVerdict &v = _verdicts[warp.id()];
+        return now < v.validUntil ? v : recomputeVerdict(tn, warp, now);
+    }
+
+    /** Derive @a warp's verdict from the scoreboard at @a now. */
+    const SbVerdict &recomputeVerdict(Tenant &tn, const Warp &warp,
+                                      Cycle now);
 
     /**
      * Can @a warp issue its next instruction now?
@@ -394,6 +440,10 @@ class Sm
     /** Owning tenant of each scheduler group. */
     std::vector<unsigned> _groupTenant;
     std::vector<Warp> _warps;
+    /** Per-warp scoreboard verdicts, indexed by warp id. */
+    std::vector<SbVerdict> _verdicts;
+    /** Warps finished so far (done() when it reaches _warps.size()). */
+    std::size_t _finishedWarps = 0;
     std::vector<std::unique_ptr<WarpScheduler>> _schedulers;
     Cycle _now = 0;
     IssueHook _issueHook;
@@ -403,6 +453,8 @@ class Sm
     bool _anySuspendPending = false;
     StatGroup _stats;
     Counter &_issued;
+    /** Work counter: SbVerdict recomputations (not in RunStats). */
+    Counter &_sbVerdicts;
     Counter &_slotIssued;
     std::array<Counter *, kNumStallCauses> _stallSlots{};
     Counter &_divergentBranches;

@@ -396,37 +396,9 @@ CapacityManager::tryActivate(Cycle now)
         // converts an available line to owned, so the fits check
         // covers the full per-bank need, not need minus hits —
         // otherwise pins silently starve other warps' reservations.
-        std::array<unsigned, osuBanks> pinned_in{};
-        std::vector<RegId> pinned;
-        for (const compiler::Preload &p : region.preloads) {
-            if (std::find(pinned.begin(), pinned.end(), p.reg) !=
-                pinned.end()) {
-                continue;
-            }
-            if (_osu.presentEvictable(warp, p.reg)) {
-                pinned.push_back(p.reg);
-                ++pinned_in[OperandStagingUnit::bankOf(warp, p.reg)];
-            }
-        }
-        // Resident pure outputs (hard-defined before any read) hold
-        // values that are dead on entry; erase them now so their
-        // stale lines neither get stolen mid-region nor occupy space
-        // beyond the peak-live reservation.
-        std::vector<RegId> stale_outputs;
-        for (RegId reg : region.outputs) {
-            if (std::find(pinned.begin(), pinned.end(), reg) !=
-                    pinned.end() ||
-                std::find(stale_outputs.begin(), stale_outputs.end(),
-                          reg) != stale_outputs.end()) {
-                continue;
-            }
-            if (_osu.presentEvictable(warp, reg))
-                stale_outputs.push_back(reg);
-        }
-
         // Erasing a stale output turns an evictable line into a free
-        // one, so it does not change availability; the plain need is
-        // the whole requirement.
+        // one, so it does not change availability either; the plain
+        // need is the whole requirement.
         bool fits = true;
         for (unsigned b = 0; b < osuBanks; ++b) {
             auto c = _osu.bankCounts(b);
@@ -460,6 +432,36 @@ CapacityManager::tryActivate(Cycle now)
                 wc.blockCause = arch::StallCause::CmNoCapacity;
                 return;
             }
+        }
+        // The activation goes ahead. The pinned inputs and stale
+        // outputs are pure OSU lookups, so a blocked attempt (retried
+        // every cycle) skips them.
+        std::array<unsigned, osuBanks> pinned_in{};
+        std::vector<RegId> pinned;
+        for (const compiler::Preload &p : region.preloads) {
+            if (std::find(pinned.begin(), pinned.end(), p.reg) !=
+                pinned.end()) {
+                continue;
+            }
+            if (_osu.presentEvictable(warp, p.reg)) {
+                pinned.push_back(p.reg);
+                ++pinned_in[OperandStagingUnit::bankOf(warp, p.reg)];
+            }
+        }
+        // Resident pure outputs (hard-defined before any read) hold
+        // values that are dead on entry; erase them now so their
+        // stale lines neither get stolen mid-region nor occupy space
+        // beyond the peak-live reservation.
+        std::vector<RegId> stale_outputs;
+        for (RegId reg : region.outputs) {
+            if (std::find(pinned.begin(), pinned.end(), reg) !=
+                    pinned.end() ||
+                std::find(stale_outputs.begin(), stale_outputs.end(),
+                          reg) != stale_outputs.end()) {
+                continue;
+            }
+            if (_osu.presentEvictable(warp, reg))
+                stale_outputs.push_back(reg);
         }
         for (RegId reg : stale_outputs) {
             _osu.erase(warp, reg);
@@ -534,8 +536,10 @@ CapacityManager::tick(Cycle now)
         _compressor->tick(now);
 
     // Retire draining warps first so their lines are reusable.
+    // Shard members index _ctx directly: membership holds by
+    // construction, so ctx()'s check is for ids from outside.
     for (WarpId w : _shardWarps) {
-        WarpCtx &wc = ctx(w);
+        WarpCtx &wc = _ctx[w];
         if (wc.state == CmState::Draining && now >= wc.drainUntil)
             finishDrain(wc, w, now);
     }
@@ -543,7 +547,7 @@ CapacityManager::tick(Cycle now)
     // Progress preloading warps (one preload per bank per cycle).
     std::array<bool, osuBanks> bank_busy{};
     for (WarpId w : _shardWarps) {
-        WarpCtx &wc = ctx(w);
+        WarpCtx &wc = _ctx[w];
         if (wc.state != CmState::Preloading)
             continue;
         processInvalidations(wc, w, now);
