@@ -22,7 +22,10 @@
 #   6. ASan and TSan passes over the skip-enabled determinism subset
 #      (the SoA warp state and bulk stall-charging touch hot arrays;
 #      the multi-SM epoch loop skips under worker threads), with the
-#      incremental-eligibility edge tests under ASan;
+#      incremental-eligibility and sleeping-warp edge tests
+#      (IncrementalEligibility*, SleepingWarps*: multi-word sleep
+#      masks, lazy stall rows) and the two-level scheduler's
+#      ring-vs-deque randomized test under ASan;
 #   7. a UBSan pass over stats JSON and cache-entry parsing (hostile
 #      numbers must be parse failures, never out-of-range casts).
 set -euo pipefail
@@ -56,9 +59,9 @@ if [ "$missing" -ne 0 ]; then
     exit 1
 fi
 
-# Static-analysis companion (scripts/tidy.sh): skips cleanly when
-# clang-tidy is absent. REGLESS_TIDY=0 opts out, e.g. when iterating
-# on a slow machine.
+# Static-analysis companion (scripts/tidy.sh): without clang-tidy it
+# prints a SKIPPED warning on stderr and exits 0. REGLESS_TIDY=0 opts
+# out, e.g. when iterating on a slow machine.
 if [ "${REGLESS_TIDY:-1}" != "0" ]; then
     scripts/tidy.sh
 fi
@@ -73,8 +76,9 @@ cmake --build "$BUILD_DIR" -j
 (cd "$BUILD_DIR" && ctest --output-on-failure -L tenants -j "$(nproc)")
 
 # Skip-enabled determinism subset under AddressSanitizer: the oracle
-# sweep, the property fuzzer (random kernels + fault plans), and the
-# edge tests of the SM's cached scoreboard verdicts.
+# sweep, the property fuzzer (random kernels + fault plans), the edge
+# tests of the SM's cached scoreboard verdicts and sleeping warps, and
+# the two-level scheduler's pools against their deque reference.
 ASAN_DIR=${ASAN_BUILD_DIR:-build-asan}
 cmake -B "$ASAN_DIR" -S . -DREGLESS_SANITIZE=address
 cmake --build "$ASAN_DIR" -j --target regless_tests \
@@ -82,7 +86,8 @@ cmake --build "$ASAN_DIR" -j --target regless_tests \
 "$ASAN_DIR"/tests/regless_oracle_tests \
     --gtest_filter='*CycleSkipOracle*:CycleSkip*'
 "$ASAN_DIR"/tests/regless_tests \
-    --gtest_filter='*CycleSkipFuzz*:IncrementalEligibility*'
+    --gtest_filter='*CycleSkipFuzz*:IncrementalEligibility*:SleepingWarps*'\
+':SchedulerTest.TwoLevelRingsMatchDequeReference'
 
 # Same subset's parallel face under ThreadSanitizer: epoch-clamped
 # skipping on worker threads must stay race-free.

@@ -56,16 +56,34 @@ TwoLevelScheduler::TwoLevelScheduler(std::vector<WarpId> warps,
                                      unsigned active_size,
                                      unsigned promotion_delay)
     : WarpScheduler(std::move(warps)),
-      _activeSize(active_size),
       _promotionDelay(promotion_delay),
+      _inActive(_warps.size(), false),
       _readyAt(_warps.size(), 0)
 {
     for (unsigned i = 0; i < _warps.size(); ++i) {
-        if (i < _activeSize)
+        if (i < active_size) {
             _active.push_back(i);
-        else
+            _inActive[i] = true;
+        } else {
             _pending.push_back(i);
+        }
     }
+    if (_warps.empty())
+        return;
+    const auto [lo, hi] = std::minmax_element(_warps.begin(), _warps.end());
+    _lowestId = *lo;
+    _indexOf.assign(*hi - *lo + 1, -1);
+    for (unsigned i = 0; i < _warps.size(); ++i)
+        _indexOf[_warps[i] - _lowestId] = static_cast<int>(i);
+}
+
+std::vector<unsigned>
+TwoLevelScheduler::activePool() const
+{
+    std::vector<unsigned> pool;
+    for (std::size_t k = 0; k < _active.size(); ++k)
+        pool.push_back(_active[(_activeHead + k) % _active.size()]);
+    return pool;
 }
 
 int
@@ -73,11 +91,12 @@ TwoLevelScheduler::pick(const std::vector<bool> &eligible)
 {
     ++_cycle;
     // Round-robin within the active pool; freshly promoted warps wait
-    // out their instruction-buffer refill.
-    for (std::size_t tries = 0; tries < _active.size(); ++tries) {
-        unsigned idx = _active.front();
-        _active.pop_front();
-        _active.push_back(idx);
+    // out their instruction-buffer refill. Each try moves the front
+    // warp to the back.
+    const std::size_t n = _active.size();
+    for (std::size_t tries = 0; tries < n; ++tries) {
+        const unsigned idx = _active[_activeHead];
+        _activeHead = _activeHead + 1 == n ? 0 : _activeHead + 1;
         if (eligible[idx] && _cycle >= _readyAt[idx])
             return static_cast<int>(idx);
     }
@@ -91,21 +110,33 @@ TwoLevelScheduler::notifyLongStall(WarpId warp)
     // nothing pending the demotion must be a no-op: demoting anyway
     // would permanently shrink the active pool (down to empty with a
     // single warp, deadlocking the scheduler).
-    if (_pending.empty())
+    if (_pending.empty() || warp < _lowestId ||
+        warp - _lowestId >= _indexOf.size()) {
         return;
-    auto it = std::find_if(_active.begin(), _active.end(),
-                           [&](unsigned idx) {
-                               return _warps[idx] == warp;
-                           });
-    if (it == _active.end())
+    }
+    const int found = _indexOf[warp - _lowestId];
+    if (found < 0 || !_inActive[found])
         return;
-    unsigned idx = *it;
-    _active.erase(it);
-    unsigned promoted = _pending.front();
-    _pending.pop_front();
+    const auto idx = static_cast<unsigned>(found);
+    // Erase idx from the active pool, keeping the others' order, and
+    // append the promoted warp at the back.
+    const std::size_t n = _active.size();
+    std::size_t pos = 0;
+    while (_active[(_activeHead + pos) % n] != idx)
+        ++pos;
+    for (; pos + 1 < n; ++pos) {
+        _active[(_activeHead + pos) % n] =
+            _active[(_activeHead + pos + 1) % n];
+    }
+    const unsigned promoted = _pending[_pendingHead];
+    _active[(_activeHead + n - 1) % n] = promoted;
+    _inActive[promoted] = true;
+    _inActive[idx] = false;
     _readyAt[promoted] = _cycle + _promotionDelay;
-    _active.push_back(promoted);
-    _pending.push_back(idx);
+    // Pop the pending front and push the demoted warp at the back.
+    _pending[_pendingHead] = idx;
+    _pendingHead = _pendingHead + 1 == _pending.size() ? 0
+                                                       : _pendingHead + 1;
 }
 
 int

@@ -10,7 +10,6 @@
 #ifndef REGLESS_ARCH_SCHEDULER_HH
 #define REGLESS_ARCH_SCHEDULER_HH
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,6 +57,14 @@ class WarpScheduler
     virtual void notifyLongStall(WarpId) {}
 
     /**
+     * Does notifyLongStall change this scheduler's picks? The SM sends
+     * the feedback only to schedulers that say so. The default is yes,
+     * so a scheduler (or a decorator around one) hears every call
+     * unless it declares that it ignores them.
+     */
+    virtual bool usesLongStallFeedback() const { return true; }
+
+    /**
      * Does this scheduler's internal state stay constant across a
      * cycle in which nothing is eligible? Required for event-driven
      * cycle skipping: a window of all-stalled cycles may be collapsed
@@ -92,6 +99,7 @@ class GtoScheduler : public WarpScheduler
     }
 
     int pick(const std::vector<bool> &eligible) override;
+    bool usesLongStallFeedback() const override { return false; }
 
   private:
     int _current = -1;
@@ -118,16 +126,29 @@ class TwoLevelScheduler : public WarpScheduler
     void notifyLongStall(WarpId warp) override;
     bool quiescentWhenStalled() const override { return false; }
 
-    /** Warps currently in the active pool (exposed for Figure 2). */
-    const std::deque<unsigned> &activePool() const { return _active; }
+    /** Warps in the active pool, in round-robin order from the next
+     *  one pick() tries (exposed for Figure 2). */
+    std::vector<unsigned> activePool() const;
 
   private:
-    unsigned _activeSize;
     unsigned _promotionDelay;
     std::uint64_t _cycle = 0;
-    std::deque<unsigned> _active;  ///< indices into warps()
-    std::deque<unsigned> _pending; ///< indices into warps()
+    /**
+     * Both pools are fixed-size rings of indices into warps(): a
+     * demotion swaps one warp for another, so neither ever grows. The
+     * active pool's front is _active[_activeHead]; the pending pool's
+     * is _pending[_pendingHead].
+     */
+    std::vector<unsigned> _active;
+    std::size_t _activeHead = 0;
+    std::vector<unsigned> _pending;
+    std::size_t _pendingHead = 0;
+    /** Per warp index: in the active pool? */
+    std::vector<bool> _inActive;
     std::vector<std::uint64_t> _readyAt; ///< per warp index
+    /** warps() index of warp id _lowestId + k, or -1 (dense lookup). */
+    std::vector<int> _indexOf;
+    WarpId _lowestId = 0;
 };
 
 /** Loose round-robin over all supervised warps. */
@@ -140,6 +161,7 @@ class RrScheduler : public WarpScheduler
     }
 
     int pick(const std::vector<bool> &eligible) override;
+    bool usesLongStallFeedback() const override { return false; }
 
   private:
     unsigned _next = 0;

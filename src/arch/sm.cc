@@ -1,6 +1,7 @@
 #include "arch/sm.hh"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <string>
 
@@ -14,6 +15,12 @@ namespace
 
 /** SbVerdict::validUntil of a ready verdict: valid until issue. */
 constexpr Cycle kNoSbExpiry = std::numeric_limits<Cycle>::max();
+
+/** Sm::_sleepRun of a warp with no open stall run. */
+constexpr Cycle kNoStallRun = std::numeric_limits<Cycle>::max();
+
+/** Bits per ScanGroup mask word. */
+constexpr std::size_t kMaskBits = 64;
 
 } // namespace
 
@@ -49,6 +56,7 @@ Sm::Sm(std::vector<SmTenantSpec> tenants, mem::MemorySystem &mem,
       _stats("sm"),
       _issued(_stats.counter("insns_issued")),
       _sbVerdicts(_stats.counter("sb_verdicts")),
+      _scanVisits(_stats.counter("scan_visits")),
       _slotIssued(_stats.counter("issued_slots")),
       _divergentBranches(_stats.counter("divergent_branches")),
       _memTransactions(_stats.counter("global_mem_transactions")),
@@ -127,8 +135,23 @@ Sm::Sm(std::vector<SmTenantSpec> tenants, mem::MemorySystem &mem,
     }
     for (const auto &sched : _schedulers)
         _schedulersQuiescent &= sched->quiescentWhenStalled();
-    _scanCan.resize(_cfg.numWarps / _cfg.numSchedulers);
-    _scanCause.resize(_scanCan.size());
+    const std::size_t group_size = _cfg.numWarps / _cfg.numSchedulers;
+    const std::size_t words = (group_size + kMaskBits - 1) / kMaskBits;
+    for (const auto &sched : _schedulers) {
+        ScanGroup sg{std::vector<bool>(group_size, false),
+                     std::vector<StallCause>(group_size,
+                                             StallCause::NoWarp),
+                     std::vector<std::uint64_t>(words, 0),
+                     std::vector<std::uint64_t>(words, 0),
+                     std::vector<std::uint64_t>(words, 0),
+                     kNoSbExpiry, regfile::kNoProviderEvent,
+                     sched->usesLongStallFeedback()};
+        // Slots past the group's end sleep for good.
+        if (const std::size_t tail = group_size % kMaskBits)
+            sg.asleep.back() = ~std::uint64_t{0} << tail;
+        _scan.push_back(std::move(sg));
+    }
+    _sleepRun.assign(_cfg.numWarps, kNoStallRun);
     _groupCharge.resize(_cfg.numSchedulers, StallCause::NoWarp);
     _chargedWarps.reserve(_cfg.numWarps);
 }
@@ -142,6 +165,7 @@ Sm::exchangeScheduler(unsigned g,
         panic("replacement scheduler for group ", g,
               " must supervise the same warps");
     std::swap(slot, replacement);
+    _scan[g].feedback = slot->usesLongStallFeedback();
     _schedulersQuiescent = true;
     for (const auto &sched : _schedulers)
         _schedulersQuiescent &= sched->quiescentWhenStalled();
@@ -206,6 +230,12 @@ Sm::pollSuspends(Cycle now)
             tn->suspendRequested = false;
             tn->suspended = true;
             tn->suspendStart = now;
+            // Its sleepers' verdicts no longer decide their outcome.
+            for (unsigned g = tn->schedBase;
+                 g < tn->schedBase + tn->schedCount; ++g) {
+                wakeSleepers(_scan[g], _schedulers[g]->warps(),
+                             kNoSbExpiry);
+            }
         } else {
             pending = true;
         }
@@ -575,6 +605,50 @@ Sm::issue(Tenant &tn, Warp &warp, Cycle now)
 }
 
 void
+Sm::wakeSleepers(ScanGroup &sg, const std::vector<WarpId> &group,
+                 Cycle due)
+{
+    sg.wakeAt = kNoSbExpiry;
+    sg.nextEvent = regfile::kNoProviderEvent;
+    for (std::size_t k = 0; k < sg.asleep.size(); ++k) {
+        for (std::uint64_t bits = sg.asleep[k]; bits != 0;
+             bits &= bits - 1) {
+            const unsigned b = std::countr_zero(bits);
+            const std::size_t i = k * kMaskBits + b;
+            if (i >= group.size())
+                break;
+            const WarpId w = group[i];
+            if (_sleepRun[w] == kNoStallRun)
+                continue; // finished
+            const SbVerdict &v = _verdicts[w];
+            if (v.validUntil > due) {
+                sg.wakeAt = std::min(sg.wakeAt, v.validUntil);
+                sg.nextEvent = std::min(sg.nextEvent, v.nextChange);
+                continue;
+            }
+            _warpStalls[w][static_cast<std::size_t>(v.cause)] +=
+                _now - _sleepRun[w];
+            _sleepRun[w] = kNoStallRun;
+            const std::uint64_t bit = std::uint64_t{1} << b;
+            sg.asleep[k] &= ~bit;
+            sg.notify[k] &= ~bit;
+        }
+    }
+}
+
+std::array<std::uint64_t, kNumStallCauses>
+Sm::warpStalls(WarpId warp) const
+{
+    std::array<std::uint64_t, kNumStallCauses> row = _warpStalls.at(warp);
+    const Cycle run = _sleepRun[warp];
+    if (run < _now) {
+        row[static_cast<std::size_t>(_verdicts[warp].cause)] +=
+            _now - run;
+    }
+    return row;
+}
+
+void
 Sm::step()
 {
     stepImpl(nullptr);
@@ -594,36 +668,82 @@ Sm::stepImpl(SkipProbe *probe)
         Tenant &tn = *_tenants[_groupTenant[g]];
         auto &sched = _schedulers[g];
         const auto &group = sched->warps();
-        std::vector<bool> &can = _scanCan;
-        std::vector<StallCause> &cause = _scanCause;
-        std::fill(can.begin(), can.end(), false);
-        std::fill(cause.begin(), cause.end(), StallCause::NoWarp);
+        ScanGroup &sg = _scan[g];
+        std::vector<bool> &can = sg.can;
+        std::vector<StallCause> &cause = sg.cause;
+        if (_now >= sg.wakeAt)
+            wakeSleepers(sg, group, _now);
         bool any = false;
-        for (std::size_t i = 0; i < group.size(); ++i) {
-            bool long_stall = false;
-            bool eligible_now =
-                eligible(tn, _warps[group[i]], _now, &long_stall,
-                         &cause[i], probe ? &probe->nextEvent : nullptr);
-            can[i] = eligible_now;
-            any |= eligible_now;
-            // Warps blocked indefinitely (finished, at a barrier) must
-            // vacate a two-level scheduler's active pool, or pending
-            // warps never get promoted and the SM deadlocks.
-            if (long_stall ||
-                _warps[group[i]].status() != WarpStatus::Running) {
-                sched->notifyLongStall(group[i]);
-            }
-            // Per-warp stall detail (feeds the trace and the deadlock
-            // report); the per-slot charge below is separate so every
-            // scheduler-cycle is charged exactly once.
-            if (!eligible_now &&
-                _warps[group[i]].status() == WarpStatus::Running) {
-                ++_warpStalls[group[i]]
-                             [static_cast<std::size_t>(cause[i])];
-                if (probe)
-                    _chargedWarps.emplace_back(group[i], cause[i]);
+        for (std::size_t k = 0; k < sg.asleep.size(); ++k) {
+            for (std::uint64_t awake = ~sg.asleep[k]; awake != 0;
+                 awake &= awake - 1) {
+                const unsigned b = std::countr_zero(awake);
+                const std::size_t i = k * kMaskBits + b;
+                const WarpId w = group[i];
+                const Warp &warp = _warps[w];
+                ++_scanVisits;
+                bool long_stall = false;
+                can[i] = eligible(tn, warp, _now, &long_stall, &cause[i],
+                                  probe ? &probe->nextEvent : nullptr);
+                if (can[i]) {
+                    any = true;
+                    continue;
+                }
+                const std::uint64_t bit = std::uint64_t{1} << b;
+                if (warp.status() == WarpStatus::Finished) {
+                    // Finished for good. Notified every cycle all the
+                    // same: a two-level scheduler must demote it.
+                    sg.asleep[k] |= bit;
+                    sg.notify[k] |= bit;
+                    continue;
+                }
+                if (warp.status() != WarpStatus::Running) {
+                    // Barrier-parked: must vacate a two-level
+                    // scheduler's active pool, or pending warps never
+                    // get promoted and the SM deadlocks.
+                    if (sg.feedback)
+                        sg.flagged[k] |= bit;
+                    continue;
+                }
+                // Per-warp stall detail (feeds the trace and the
+                // deadlock report); the per-slot charge below is
+                // separate so every scheduler-cycle is charged
+                // exactly once.
+                ++_warpStalls[w][static_cast<std::size_t>(cause[i])];
+                if (tn.suspended || !_resident[w] ||
+                    _verdicts[w].ready) {
+                    if (probe)
+                        _chargedWarps.emplace_back(w, cause[i]);
+                    continue;
+                }
+                // Blocked on its scoreboard verdict: only its own
+                // issue could change that before the verdict expires,
+                // so it sleeps until then. Its stall run from the
+                // next cycle on is charged when it wakes.
+                const SbVerdict &v = _verdicts[w];
+                sg.asleep[k] |= bit;
+                if (long_stall)
+                    sg.notify[k] |= bit;
+                _sleepRun[w] = _now + 1;
+                sg.wakeAt = std::min(sg.wakeAt, v.validUntil);
+                sg.nextEvent = std::min(sg.nextEvent, v.nextChange);
             }
         }
+        // Long-stall feedback, in ascending group index. Batching the
+        // calls after the scan is exact: eligible() never reads
+        // scheduler state.
+        if (sg.feedback) {
+            for (std::size_t k = 0; k < sg.notify.size(); ++k) {
+                for (std::uint64_t bits = sg.notify[k] | sg.flagged[k];
+                     bits != 0; bits &= bits - 1) {
+                    sched->notifyLongStall(
+                        group[k * kMaskBits + std::countr_zero(bits)]);
+                }
+                sg.flagged[k] = 0;
+            }
+        }
+        if (probe)
+            probe->nextEvent = std::min(probe->nextEvent, sg.nextEvent);
         const int picked = any ? sched->pick(can) : -1;
         if (picked >= 0) {
             ++_slotIssued;

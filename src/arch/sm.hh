@@ -188,12 +188,10 @@ class Sm
         return _stallSlots[static_cast<std::size_t>(cause)]->value();
     }
     StallSnapshot slotSnapshot() const;
-    /** Cumulative per-warp stall cycles by cause (Running warps only). */
-    const std::array<std::uint64_t, kNumStallCauses> &
-    warpStalls(WarpId warp) const
-    {
-        return _warpStalls.at(warp);
-    }
+    /** Cumulative per-warp stall cycles by cause (Running warps
+     *  only), including a sleeping warp's open run. */
+    std::array<std::uint64_t, kNumStallCauses>
+    warpStalls(WarpId warp) const;
     ///@}
 
     /** @name Per-tenant residency, preemption, and attribution. */
@@ -363,6 +361,43 @@ class Sm
         bool longStall = false;
     };
 
+    /**
+     * One scheduler group's issue-scan state (DESIGN.md §12, sleeping
+     * warps). Bit i of each mask is the group's i-th warp; a group of
+     * more than 64 warps spans several words. A sleeper is left out of
+     * the scan because its outcome cannot change before it wakes: a
+     * Running warp blocked on its scoreboard verdict sleeps until the
+     * verdict expires (or its tenant is suspended), a finished warp
+     * for good.
+     */
+    struct ScanGroup
+    {
+        /** pick() input; a sleeper's entry stays false. */
+        std::vector<bool> can;
+        /** Blocked warps' causes; a sleeper's stays frozen. */
+        std::vector<StallCause> cause;
+        /** Sleepers (padding bits past the group's end are set). */
+        std::vector<std::uint64_t> asleep;
+        /** Sleepers notifyLongStall hears about every cycle. */
+        std::vector<std::uint64_t> notify;
+        /** Awake barrier-parked warps to notify this cycle. */
+        std::vector<std::uint64_t> flagged;
+        /** Earliest cycle a sleeper's verdict expires. */
+        Cycle wakeAt;
+        /** Min nextChange over sleepers: their skip-probe bound. */
+        Cycle nextEvent;
+        /** Does the group's scheduler act on notifyLongStall? */
+        bool feedback;
+    };
+
+    /**
+     * Wake @a sg's Running sleepers whose verdict expires by @a due,
+     * charging each its stall run up to now, and re-derive wakeAt and
+     * nextEvent over the sleepers that remain.
+     */
+    void wakeSleepers(ScanGroup &sg, const std::vector<WarpId> &group,
+                      Cycle due);
+
     /** @a warp's verdict at @a now, recomputed only when expired. */
     const SbVerdict &verdict(Tenant &tn, const Warp &warp, Cycle now)
     {
@@ -455,6 +490,8 @@ class Sm
     Counter &_issued;
     /** Work counter: SbVerdict recomputations (not in RunStats). */
     Counter &_sbVerdicts;
+    /** Work counter: per-warp evaluations of the issue scan. */
+    Counter &_scanVisits;
     Counter &_slotIssued;
     std::array<Counter *, kNumStallCauses> _stallSlots{};
     Counter &_divergentBranches;
@@ -464,14 +501,18 @@ class Sm
     std::vector<std::array<std::uint64_t, kNumStallCauses>> _warpStalls;
     /** All schedulers safe to skip over? (precomputed at build) */
     bool _schedulersQuiescent = true;
-    /** @name Preallocated per-group scan buffers (no per-cycle heap). */
-    ///@{
-    std::vector<bool> _scanCan;
-    std::vector<StallCause> _scanCause;
-    ///@}
+    /** Per-group scan state, indexed like _schedulers. */
+    std::vector<ScanGroup> _scan;
+    /**
+     * Per warp: first cycle of a sleeping Running warp's stall run
+     * not yet in _warpStalls (charged to its verdict's cause), or
+     * kNoStallRun.
+     */
+    std::vector<Cycle> _sleepRun;
     /** Per-group slot charge of the last probed all-stalled cycle. */
     std::vector<StallCause> _groupCharge;
-    /** (warp, cause) pairs charged per-warp in the probed cycle. */
+    /** (warp, cause) pairs charged per-warp in the probed cycle to
+     *  warps left awake; a sleeper's open run covers a skip. */
     std::vector<std::pair<WarpId, StallCause>> _chargedWarps;
     StallTraceHook _traceHook;
     std::vector<const char *> _traceLabel;

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <random>
 
 #include "arch/scheduler.hh"
@@ -240,6 +242,110 @@ TEST(SchedulerTest, AllPoliciesPickOnlyEligibleWarps)
         // Occasional demotions keep the pools churning.
         if ((rng() & 7) == 0)
             tl.notifyLongStall(rng() % 8);
+    }
+}
+
+/**
+ * Reference two-level scheduler over std::deque pools: the plain
+ * statement of the policy the fixed-size rings must reproduce.
+ */
+class DequeTwoLevel
+{
+  public:
+    DequeTwoLevel(std::vector<WarpId> warps, unsigned active_size,
+                  unsigned promotion_delay)
+        : _warps(std::move(warps)), _delay(promotion_delay),
+          _readyAt(_warps.size(), 0)
+    {
+        for (unsigned i = 0; i < _warps.size(); ++i)
+            (i < active_size ? _active : _pending).push_back(i);
+    }
+
+    int
+    pick(const std::vector<bool> &eligible)
+    {
+        ++_cycle;
+        for (std::size_t tries = 0; tries < _active.size(); ++tries) {
+            const unsigned idx = _active.front();
+            _active.pop_front();
+            _active.push_back(idx);
+            if (eligible[idx] && _cycle >= _readyAt[idx])
+                return static_cast<int>(idx);
+        }
+        return -1;
+    }
+
+    void
+    notifyLongStall(WarpId warp)
+    {
+        if (_pending.empty())
+            return;
+        auto it = std::find_if(
+            _active.begin(), _active.end(),
+            [&](unsigned idx) { return _warps[idx] == warp; });
+        if (it == _active.end())
+            return;
+        const unsigned idx = *it;
+        _active.erase(it);
+        const unsigned promoted = _pending.front();
+        _pending.pop_front();
+        _readyAt[promoted] = _cycle + _delay;
+        _active.push_back(promoted);
+        _pending.push_back(idx);
+    }
+
+    std::vector<unsigned>
+    activePool() const
+    {
+        return {_active.begin(), _active.end()};
+    }
+
+  private:
+    std::vector<WarpId> _warps;
+    unsigned _delay;
+    std::uint64_t _cycle = 0;
+    std::deque<unsigned> _active;
+    std::deque<unsigned> _pending;
+    std::vector<std::uint64_t> _readyAt;
+};
+
+TEST(SchedulerTest, TwoLevelRingsMatchDequeReference)
+{
+    // Seeded random pick/notify sequences over interleaved warp-id
+    // groups (as the SM builds them), pool sizes below, at and above
+    // the group size, and promotion delays with and without refill
+    // waits. Notifies name active, pending and foreign warps, and
+    // repeat warps the way finished warps are notified every cycle.
+    std::mt19937 rng(1411); // fixed seed
+    for (unsigned trial = 0; trial < 200; ++trial) {
+        const unsigned n = 1 + rng() % 20;
+        const unsigned stride = 1 + rng() % 4;
+        const WarpId base = rng() % 8;
+        std::vector<WarpId> ids;
+        for (unsigned i = 0; i < n; ++i)
+            ids.push_back(base + i * stride);
+        const unsigned active = 1 + rng() % 6;
+        const unsigned delay = rng() % 4 == 0 ? 0 : rng() % 8;
+        arch::TwoLevelScheduler rings(ids, active, delay);
+        DequeTwoLevel reference(ids, active, delay);
+        for (unsigned cycle = 0; cycle < 300; ++cycle) {
+            const unsigned notifies = rng() % 4;
+            for (unsigned k = 0; k < notifies; ++k) {
+                const unsigned kind = rng() % 16;
+                const WarpId w = kind == 0   ? base + n * stride + rng() % 5
+                                 : kind == 1 ? rng() % (base + 1)
+                                             : ids[rng() % n];
+                rings.notifyLongStall(w);
+                reference.notifyLongStall(w);
+            }
+            std::vector<bool> eligible(n);
+            for (unsigned i = 0; i < n; ++i)
+                eligible[i] = rng() % 3 != 0;
+            ASSERT_EQ(rings.pick(eligible), reference.pick(eligible))
+                << "trial " << trial << " cycle " << cycle;
+            ASSERT_EQ(rings.activePool(), reference.activePool())
+                << "trial " << trial << " cycle " << cycle;
+        }
     }
 }
 

@@ -8,7 +8,8 @@
  * and the deadlock report's last-window breakdown, and pins the expiry
  * points of the SM's cached scoreboard verdicts (DESIGN.md §12,
  * incremental eligibility) to the cycles a per-cycle re-derivation
- * would see.
+ * would see, and the stall rows of warps the scan leaves asleep
+ * (sleeping warps) to the charges a scan of every warp would make.
  */
 
 #include <gtest/gtest.h>
@@ -564,6 +565,187 @@ TEST(IncrementalEligibility, HotspotVerdictsPerIssueStayBounded)
     // scoreboard re-derivation per warp per cycle before the cache.
     EXPECT_GE(verdicts, issued);
     EXPECT_LE(verdicts / issued, 2.5);
+}
+
+// ---------------------------------------------------------------------
+// Sleeping warps: the scan leaves out warps whose outcome is constant.
+// ---------------------------------------------------------------------
+
+TEST(SleepingWarps, RunningWarpsGainOneStallCyclePerIdleCycle)
+{
+    // One warp per scheduler group, so a Running warp that does not
+    // issue in a cycle was blocked in it. Read after every step, also
+    // while the warp sleeps on a pending load or SFU result, its row
+    // must have gained exactly one cycle, and none when it issued.
+    workloads::KernelBuilder b("rows");
+    RegId t = b.tid();
+    RegId addr = b.imuli(t, 4);
+    RegId v = b.ld(addr);
+    RegId r = b.rcp(t);
+    RegId u = b.ld(addr, 8192);
+    b.st(b.iadd(b.iadd(v, r), u), addr, 16384);
+    arch::SmConfig cfg;
+    cfg.numWarps = 8;
+    cfg.numSchedulers = 8;
+    cfg.latencies.sfu = 700;
+    LoggedSm run(b.build(), cfg);
+    arch::Sm &sm = run.sm;
+    std::uint64_t idle = 0;
+    std::array<std::uint64_t, arch::kNumStallCauses> gained{};
+    while (!sm.done()) {
+        std::vector<bool> running;
+        std::vector<std::uint64_t> insns;
+        std::vector<std::array<std::uint64_t, arch::kNumStallCauses>>
+            rows;
+        for (const arch::Warp &w : sm.warps()) {
+            running.push_back(w.status() == arch::WarpStatus::Running);
+            insns.push_back(w.insnsExecuted());
+            rows.push_back(sm.warpStalls(w.id()));
+        }
+        sm.step();
+        for (WarpId w = 0; w < sm.warps().size(); ++w) {
+            if (!running[w])
+                continue;
+            const auto after = sm.warpStalls(w);
+            std::uint64_t delta = 0;
+            for (std::size_t c = 0; c < arch::kNumStallCauses; ++c) {
+                delta += after[c] - rows[w][c];
+                gained[c] += after[c] - rows[w][c];
+            }
+            const bool issued = sm.warps()[w].insnsExecuted() != insns[w];
+            ASSERT_EQ(delta, issued ? 0u : 1u)
+                << "warp " << w << " cycle " << sm.now() - 1;
+            idle += issued ? 0 : 1;
+        }
+    }
+    EXPECT_GT(idle, 0u);
+    EXPECT_GT(gained[static_cast<std::size_t>(
+                  arch::StallCause::MemPending)],
+              0u);
+    EXPECT_GT(gained[static_cast<std::size_t>(
+                  arch::StallCause::ScoreboardDep)],
+              0u);
+    // The sleepers were left out of the scan (measured: 183 visits
+    // over 739 cycles, against 8 per cycle without sleeping).
+    EXPECT_LT(sm.stats().counter("scan_visits").value(),
+              cfg.numWarps * sm.now() / 4);
+}
+
+TEST(SleepingWarps, SuspensionWakesSleepersAndKeepsRowsExact)
+{
+    // Tenant 1 is suspended while some of its warps sleep on pending
+    // loads, then resumed. From the suspension cycle on, each of its
+    // Running warps is charged no_warp and nothing else every cycle
+    // (the sleeping run closes on that cycle), and step() and
+    // stepSkipping() charge identical rows.
+    const sim::GpuConfig cfg =
+        sim::GpuConfig::forProvider(sim::ProviderKind::Baseline);
+    const std::vector<ir::Kernel> kernels{workloads::makeRodinia("nn"),
+                                          workloads::makeRodinia("nn")};
+    const Cycle suspend_at = 1000, resume_at = 3000;
+    const auto no_warp = static_cast<std::size_t>(arch::StallCause::NoWarp);
+    auto tally = [&](bool skip) {
+        sim::GpuSimulator gpu(kernels, cfg);
+        arch::Sm &sm = gpu.sm();
+        const WarpId lo = sm.tenantWarpBase(1);
+        const WarpId hi = lo + sm.tenantWarpCount(1);
+        unsigned sleepers = 0, mismatches = 0;
+        while (!sm.done()) {
+            const Cycle now = sm.now();
+            if (now == suspend_at)
+                sm.requestSuspend(1, now);
+            if (now == resume_at)
+                sm.resumeTenant(1, now);
+            if (skip) {
+                sm.stepSkipping(now < suspend_at  ? suspend_at
+                                : now < resume_at ? resume_at
+                                                  : now + 1'000'000);
+                continue;
+            }
+            std::vector<std::array<std::uint64_t, arch::kNumStallCauses>>
+                rows;
+            for (WarpId w = lo; w < hi; ++w)
+                rows.push_back(sm.warpStalls(w));
+            sm.step();
+            for (WarpId w = lo; w < hi; ++w) {
+                if (sm.warps()[w].status() != arch::WarpStatus::Running)
+                    continue;
+                auto delta = sm.warpStalls(w);
+                for (std::size_t c = 0; c < arch::kNumStallCauses; ++c)
+                    delta[c] -= rows[w - lo][c];
+                if (now + 1 == suspend_at) {
+                    // Blocked on its scoreboard: asleep at suspension.
+                    sleepers += delta[static_cast<std::size_t>(
+                                    arch::StallCause::MemPending)] +
+                                delta[static_cast<std::size_t>(
+                                    arch::StallCause::ScoreboardDep)];
+                } else if (now >= suspend_at && now < resume_at) {
+                    std::array<std::uint64_t, arch::kNumStallCauses>
+                        expect{};
+                    expect[no_warp] = 1;
+                    if (delta != expect && mismatches++ == 0) {
+                        ADD_FAILURE() << "warp " << w << " cycle " << now
+                                      << " not charged one no_warp";
+                    }
+                }
+            }
+        }
+        EXPECT_EQ(mismatches, 0u);
+        EXPECT_EQ(sm.tenantPreemptions(1), 1u);
+        EXPECT_EQ(sm.tenantSuspendedCycles(1), resume_at - suspend_at);
+        if (skip) {
+            EXPECT_GT(sm.skippedCycles(), 0u);
+        } else {
+            EXPECT_GT(sleepers, 0u);
+        }
+        return SmTally(sm);
+    };
+    expectSameTally(tally(false), tally(true));
+}
+
+TEST(SleepingWarps, OneGroupOf128WarpsClosesItsAccount)
+{
+    // A single scheduler group of 128 warps: its sleep masks span two
+    // words. Both step modes give the same RunStats and per-warp rows,
+    // and issued + stalls == schedulers * cycles.
+    sim::GpuConfig cfg =
+        testutil::referenceConfig(sim::ProviderKind::Regless);
+    cfg.sm.numWarps = 128;
+    cfg.sm.numSchedulers = 1;
+    const ir::Kernel kernel = workloads::makeRodinia("hotspot");
+    auto run = [&](bool skip) {
+        cfg.sm.cycleSkip = skip;
+        sim::GpuSimulator gpu(kernel, cfg);
+        const sim::RunStats stats = gpu.run();
+        expectSlotInvariant(stats, 1, skip ? "skip" : "step");
+        return std::make_pair(stats, SmTally(gpu.sm()));
+    };
+    const auto [stepped, stepped_rows] = run(false);
+    const auto [skipped, skipped_rows] = run(true);
+    EXPECT_EQ(testutil::withoutSkipMeta(stepped),
+              testutil::withoutSkipMeta(skipped));
+    EXPECT_GT(skipped.skippedCycles, 0u);
+    expectSameTally(stepped_rows, skipped_rows);
+}
+
+TEST(SleepingWarps, HotspotScanVisitsPerCycleStayBounded)
+{
+    // Work counter (not in RunStats): the scan evaluates only awake
+    // warps. Without sleeping it visits all 64 warps on every stepped
+    // cycle.
+    const sim::GpuConfig cfg =
+        sim::GpuConfig::forProvider(sim::ProviderKind::Baseline);
+    sim::GpuSimulator gpu(workloads::makeRodinia("hotspot"), cfg);
+    gpu.run();
+    arch::Sm &sm = gpu.sm();
+    const double stepped =
+        static_cast<double>(sm.now() - sm.skippedCycles());
+    const double visits = static_cast<double>(
+        sm.stats().counter("scan_visits").value());
+    ASSERT_GT(stepped, 0.0);
+    // Measured: 21652 visits over 5303 stepped cycles (4.08 each).
+    EXPECT_GT(visits, 0.0);
+    EXPECT_LE(visits / stepped, 8.0);
 }
 
 } // namespace
