@@ -8,7 +8,9 @@
 #      plans; the same label carries the report pin (report_pin: the
 #      cold `regless_report --no-cache` text against
 #      perfbench/golden/report_cold.txt), which catches a bug in a
-#      path both oracle sides share, such as the cached issue scan;
+#      path both oracle sides share, such as the cached issue scan,
+#      and the stall-row pin (stall_row_pin: per-warp stall rows
+#      against tests/golden/stall_rows.txt);
 #   3. the provider-registry contract suite (ctest label "providers"):
 #      every registered provider end-to-end under the closed stall
 #      account and memory-image invariants (DESIGN.md §13);
@@ -23,9 +25,10 @@
 #      (the SoA warp state and bulk stall-charging touch hot arrays;
 #      the multi-SM epoch loop skips under worker threads), with the
 #      incremental-eligibility and sleeping-warp edge tests
-#      (IncrementalEligibility*, SleepingWarps*: multi-word sleep
-#      masks, lazy stall rows) and the two-level scheduler's
-#      ring-vs-deque randomized test under ASan;
+#      (IncrementalEligibility*, SleepingWarps*, GatedSleepers*:
+#      multi-word sleep masks, lazy stall rows, the provider wake
+#      list), the capacity manager's count recount, and the two-level
+#      scheduler's ring-vs-deque randomized test under ASan;
 #   7. a UBSan pass over stats JSON and cache-entry parsing (hostile
 #      numbers must be parse failures, never out-of-range casts).
 set -euo pipefail
@@ -77,8 +80,10 @@ cmake --build "$BUILD_DIR" -j
 
 # Skip-enabled determinism subset under AddressSanitizer: the oracle
 # sweep, the property fuzzer (random kernels + fault plans), the edge
-# tests of the SM's cached scoreboard verdicts and sleeping warps, and
-# the two-level scheduler's pools against their deque reference.
+# tests of the SM's cached scoreboard verdicts and sleeping warps (also
+# those the RegLess CM gates), the CM's maintained counts against a
+# recount, and the two-level scheduler's pools against their deque
+# reference.
 ASAN_DIR=${ASAN_BUILD_DIR:-build-asan}
 cmake -B "$ASAN_DIR" -S . -DREGLESS_SANITIZE=address
 cmake --build "$ASAN_DIR" -j --target regless_tests \
@@ -87,6 +92,7 @@ cmake --build "$ASAN_DIR" -j --target regless_tests \
     --gtest_filter='*CycleSkipOracle*:CycleSkip*'
 "$ASAN_DIR"/tests/regless_tests \
     --gtest_filter='*CycleSkipFuzz*:IncrementalEligibility*:SleepingWarps*'\
+':GatedSleepers*:CmInvariantTest.MaintainedCountsMatchARecountEveryCycle'\
 ':SchedulerTest.TwoLevelRingsMatchDequeReference'
 
 # Same subset's parallel face under ThreadSanitizer: epoch-clamped

@@ -30,6 +30,7 @@ Sm::Tenant::Tenant(const SmTenantSpec &spec, WarpId warp_base,
     : ck(spec.ck),
       kernel(&spec.ck->kernel()),
       provider(spec.provider),
+      wakeList(spec.provider->wakeList()),
       cfgAnalysis(spec.ck->kernel()),
       scoreboard(warp_count, spec.ck->kernel().numRegs(), warp_base),
       warpBase(warp_base),
@@ -138,12 +139,11 @@ Sm::Sm(std::vector<SmTenantSpec> tenants, mem::MemorySystem &mem,
     const std::size_t group_size = _cfg.numWarps / _cfg.numSchedulers;
     const std::size_t words = (group_size + kMaskBits - 1) / kMaskBits;
     for (const auto &sched : _schedulers) {
+        const std::vector<std::uint64_t> none(words, 0);
         ScanGroup sg{std::vector<bool>(group_size, false),
                      std::vector<StallCause>(group_size,
                                              StallCause::NoWarp),
-                     std::vector<std::uint64_t>(words, 0),
-                     std::vector<std::uint64_t>(words, 0),
-                     std::vector<std::uint64_t>(words, 0),
+                     none, none, none, none, none,
                      kNoSbExpiry, regfile::kNoProviderEvent,
                      sched->usesLongStallFeedback()};
         // Slots past the group's end sleep for good.
@@ -230,11 +230,21 @@ Sm::pollSuspends(Cycle now)
             tn->suspendRequested = false;
             tn->suspended = true;
             tn->suspendStart = now;
-            // Its sleepers' verdicts no longer decide their outcome.
+            // Its sleepers' verdicts and provider answers no longer
+            // decide their outcome.
             for (unsigned g = tn->schedBase;
                  g < tn->schedBase + tn->schedCount; ++g) {
-                wakeSleepers(_scan[g], _schedulers[g]->warps(),
-                             kNoSbExpiry);
+                ScanGroup &sg = _scan[g];
+                const auto &group = _schedulers[g]->warps();
+                wakeSleepers(sg, group, kNoSbExpiry);
+                for (std::size_t k = 0; k < sg.gated.size(); ++k) {
+                    for (std::uint64_t bits = sg.gated[k]; bits != 0;
+                         bits &= bits - 1) {
+                        const std::size_t i =
+                            k * kMaskBits + std::countr_zero(bits);
+                        wake(sg, i, group[i]);
+                    }
+                }
             }
         } else {
             pending = true;
@@ -605,35 +615,47 @@ Sm::issue(Tenant &tn, Warp &warp, Cycle now)
 }
 
 void
+Sm::wake(ScanGroup &sg, std::size_t i, WarpId w)
+{
+    _warpStalls[w][static_cast<std::size_t>(sg.cause[i])] +=
+        _now - _sleepRun[w];
+    _sleepRun[w] = kNoStallRun;
+    const std::size_t k = i / kMaskBits;
+    const std::uint64_t keep = ~(std::uint64_t{1} << (i % kMaskBits));
+    sg.asleep[k] &= keep;
+    sg.timed[k] &= keep;
+    sg.gated[k] &= keep;
+    sg.notify[k] &= keep;
+}
+
+void
 Sm::wakeSleepers(ScanGroup &sg, const std::vector<WarpId> &group,
                  Cycle due)
 {
     sg.wakeAt = kNoSbExpiry;
     sg.nextEvent = regfile::kNoProviderEvent;
-    for (std::size_t k = 0; k < sg.asleep.size(); ++k) {
-        for (std::uint64_t bits = sg.asleep[k]; bits != 0;
+    for (std::size_t k = 0; k < sg.timed.size(); ++k) {
+        for (std::uint64_t bits = sg.timed[k]; bits != 0;
              bits &= bits - 1) {
-            const unsigned b = std::countr_zero(bits);
-            const std::size_t i = k * kMaskBits + b;
-            if (i >= group.size())
-                break;
+            const std::size_t i = k * kMaskBits + std::countr_zero(bits);
             const WarpId w = group[i];
-            if (_sleepRun[w] == kNoStallRun)
-                continue; // finished
             const SbVerdict &v = _verdicts[w];
             if (v.validUntil > due) {
                 sg.wakeAt = std::min(sg.wakeAt, v.validUntil);
                 sg.nextEvent = std::min(sg.nextEvent, v.nextChange);
                 continue;
             }
-            _warpStalls[w][static_cast<std::size_t>(v.cause)] +=
-                _now - _sleepRun[w];
-            _sleepRun[w] = kNoStallRun;
-            const std::uint64_t bit = std::uint64_t{1} << b;
-            sg.asleep[k] &= ~bit;
-            sg.notify[k] &= ~bit;
+            wake(sg, i, w);
         }
     }
+}
+
+std::pair<unsigned, std::size_t>
+Sm::scanSlot(WarpId warp) const
+{
+    const Tenant &tn = *_tenants[_tenantOf[warp]];
+    const unsigned local = warp - tn.warpBase;
+    return {tn.schedBase + local % tn.schedCount, local / tn.schedCount};
 }
 
 std::array<std::uint64_t, kNumStallCauses>
@@ -642,8 +664,8 @@ Sm::warpStalls(WarpId warp) const
     std::array<std::uint64_t, kNumStallCauses> row = _warpStalls.at(warp);
     const Cycle run = _sleepRun[warp];
     if (run < _now) {
-        row[static_cast<std::size_t>(_verdicts[warp].cause)] +=
-            _now - run;
+        const auto [g, i] = scanSlot(warp);
+        row[static_cast<std::size_t>(_scan[g].cause[i])] += _now - run;
     }
     return row;
 }
@@ -661,6 +683,19 @@ Sm::stepImpl(SkipProbe *probe)
         tn->provider->tick(_now);
     if (_anySuspendPending)
         pollSuspends(_now);
+    // The providers' answers for these warps may have changed in the
+    // ticks above: wake the ones asleep on a refusal.
+    for (auto &tn : _tenants) {
+        if (!tn->wakeList)
+            continue;
+        for (const WarpId w : *tn->wakeList) {
+            const auto [g, i] = scanSlot(w);
+            ScanGroup &sg = _scan[g];
+            if (sg.gated[i / kMaskBits] >> (i % kMaskBits) & 1)
+                wake(sg, i, w);
+        }
+        tn->wakeList->clear();
+    }
     if (probe)
         _chargedWarps.clear();
 
@@ -710,21 +745,37 @@ Sm::stepImpl(SkipProbe *probe)
                 // separate so every scheduler-cycle is charged
                 // exactly once.
                 ++_warpStalls[w][static_cast<std::size_t>(cause[i])];
+                const SbVerdict &v = _verdicts[w];
+                // A ready verdict was refused by the L1 port or the
+                // provider. Only a provider refusal of a non-global
+                // instruction can sleep: the port check comes first,
+                // and other warps' issues move it.
+                const bool gated = v.ready && tn.wakeList &&
+                                   !v.insn->isGlobalLoad() &&
+                                   !v.insn->isGlobalStore();
                 if (tn.suspended || !_resident[w] ||
-                    _verdicts[w].ready) {
+                    (v.ready && !gated)) {
                     if (probe)
                         _chargedWarps.emplace_back(w, cause[i]);
                     continue;
                 }
+                // Its stall run from the next cycle on is charged when
+                // it wakes, to the cause it sleeps with.
+                sg.asleep[k] |= bit;
+                _sleepRun[w] = _now + 1;
+                if (gated) {
+                    // Refused by the provider: only a provider state
+                    // change (listed on its wake list) or a tenant
+                    // suspension can change that.
+                    sg.gated[k] |= bit;
+                    continue;
+                }
                 // Blocked on its scoreboard verdict: only its own
                 // issue could change that before the verdict expires,
-                // so it sleeps until then. Its stall run from the
-                // next cycle on is charged when it wakes.
-                const SbVerdict &v = _verdicts[w];
-                sg.asleep[k] |= bit;
+                // so it sleeps until then.
+                sg.timed[k] |= bit;
                 if (long_stall)
                     sg.notify[k] |= bit;
-                _sleepRun[w] = _now + 1;
                 sg.wakeAt = std::min(sg.wakeAt, v.validUntil);
                 sg.nextEvent = std::min(sg.nextEvent, v.nextChange);
             }

@@ -284,6 +284,8 @@ class Sm
         const compiler::CompiledKernel *ck;
         const ir::Kernel *kernel;
         regfile::RegisterProvider *provider;
+        /** The provider's wake list (null: refused warps stay awake). */
+        std::vector<WarpId> *wakeList;
         ir::CfgAnalysis cfgAnalysis;
         Scoreboard scoreboard;
         WarpId warpBase;
@@ -367,36 +369,51 @@ class Sm
      * more than 64 warps spans several words. A sleeper is left out of
      * the scan because its outcome cannot change before it wakes: a
      * Running warp blocked on its scoreboard verdict sleeps until the
-     * verdict expires (or its tenant is suspended), a finished warp
-     * for good.
+     * verdict expires, one its provider refused (gated) until the
+     * provider lists it on its wake list; either wakes when its
+     * tenant is suspended. A finished warp sleeps for good.
      */
     struct ScanGroup
     {
         /** pick() input; a sleeper's entry stays false. */
         std::vector<bool> can;
-        /** Blocked warps' causes; a sleeper's stays frozen. */
+        /** Blocked warps' causes; a sleeper's stays frozen, and its
+         *  open stall run is charged to it. */
         std::vector<StallCause> cause;
         /** Sleepers (padding bits past the group's end are set). */
         std::vector<std::uint64_t> asleep;
+        /** Sleepers blocked on their scoreboard verdict. */
+        std::vector<std::uint64_t> timed;
+        /** Sleepers refused by a provider with a wake list. */
+        std::vector<std::uint64_t> gated;
         /** Sleepers notifyLongStall hears about every cycle. */
         std::vector<std::uint64_t> notify;
         /** Awake barrier-parked warps to notify this cycle. */
         std::vector<std::uint64_t> flagged;
-        /** Earliest cycle a sleeper's verdict expires. */
+        /** Earliest cycle a timed sleeper's verdict expires. */
         Cycle wakeAt;
-        /** Min nextChange over sleepers: their skip-probe bound. */
+        /** Min nextChange over timed sleepers: their skip-probe
+         *  bound. Gated sleepers add none (their verdict is ready);
+         *  the provider's nextEventCycle covers them. */
         Cycle nextEvent;
         /** Does the group's scheduler act on notifyLongStall? */
         bool feedback;
     };
 
     /**
-     * Wake @a sg's Running sleepers whose verdict expires by @a due,
+     * Wake @a sg's timed sleepers whose verdict expires by @a due,
      * charging each its stall run up to now, and re-derive wakeAt and
      * nextEvent over the sleepers that remain.
      */
     void wakeSleepers(ScanGroup &sg, const std::vector<WarpId> &group,
                       Cycle due);
+
+    /** Wake the Running sleeper @a w, slot @a i of @a sg, charging
+     *  its stall run up to now to its frozen cause. */
+    void wake(ScanGroup &sg, std::size_t i, WarpId w);
+
+    /** Scheduler group of @a warp and its index within the group. */
+    std::pair<unsigned, std::size_t> scanSlot(WarpId warp) const;
 
     /** @a warp's verdict at @a now, recomputed only when expired. */
     const SbVerdict &verdict(Tenant &tn, const Warp &warp, Cycle now)
@@ -505,8 +522,8 @@ class Sm
     std::vector<ScanGroup> _scan;
     /**
      * Per warp: first cycle of a sleeping Running warp's stall run
-     * not yet in _warpStalls (charged to its verdict's cause), or
-     * kNoStallRun.
+     * not yet in _warpStalls (charged to its frozen ScanGroup cause),
+     * or kNoStallRun.
      */
     std::vector<Cycle> _sleepRun;
     /** Per-group slot charge of the last probed all-stalled cycle. */

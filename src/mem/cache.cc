@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace regless::mem
@@ -55,11 +57,16 @@ Cache::findLine(Addr addr) const
 void
 Cache::expireMshrs(Cycle now)
 {
+    if (now < _mshrEarliest)
+        return;
+    _mshrEarliest = ~Cycle{0};
     for (auto it = _mshrMap.begin(); it != _mshrMap.end();) {
-        if (it->second <= now)
+        if (it->second <= now) {
             it = _mshrMap.erase(it);
-        else
+        } else {
+            _mshrEarliest = std::min(_mshrEarliest, it->second);
             ++it;
+        }
     }
 }
 
@@ -136,6 +143,7 @@ void
 Cache::fillComplete(Addr addr, Cycle ready)
 {
     _mshrMap[lineAddr(addr)] = ready;
+    _mshrEarliest = std::min(_mshrEarliest, ready);
 }
 
 bool

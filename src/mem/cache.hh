@@ -129,6 +129,9 @@ class Cache
     std::vector<std::vector<Line>> _sets;
     /** Outstanding miss lines -> fill-ready cycle. */
     std::unordered_map<Addr, Cycle> _mshrMap;
+    /** Lower bound on every _mshrMap ready cycle: expireMshrs() has
+     *  nothing to retire before it. */
+    Cycle _mshrEarliest = ~Cycle{0};
     std::uint64_t _lruCounter = 0;
     StatGroup _stats;
     Counter &_hits;

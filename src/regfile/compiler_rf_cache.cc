@@ -11,13 +11,14 @@ CompilerRfCache::CompilerRfCache(const compiler::CompiledKernel &ck,
                                  const Params &params)
     : RegisterProvider("rfcache"),
       _params(params),
-      _perWarp(1, 0),
       _hits(_stats.counter("cache_hits")),
       _misses(_stats.counter("cache_misses")),
       _mrfReads(_stats.counter("mrf_reads")),
       _mrfWrites(_stats.counter("mrf_writes")),
       _evictions(_stats.counter("evictions"))
 {
+    if (params.cacheEntriesPerWarp == 0)
+        fatal("rfcache needs at least one cache entry per warp");
     compiler::RfCacheHintParams hints;
     hints.maxDefUseDistance = params.maxDefUseDistance;
     _cacheable = compiler::rfCacheableRegs(ck.kernel(), hints);
@@ -70,26 +71,26 @@ CompilerRfCache::insert(WarpId warp, std::uint32_t k)
         _resident[k] = ++_lruCounter;
         return;
     }
-    if (warp >= _perWarp.size())
-        _perWarp.resize(warp + 1, 0);
-    if (_perWarp[warp] >= _params.cacheEntriesPerWarp) {
-        // Evict this warp's least-recently-used entry; the victim was
-        // written to the cache only, so it retires to the MRF now.
-        auto victim = _resident.end();
-        for (auto it = _resident.begin(); it != _resident.end(); ++it) {
-            if (static_cast<WarpId>(it->first >> 16) != warp)
-                continue;
-            if (victim == _resident.end() ||
-                it->second < victim->second)
-                victim = it;
-        }
-        _resident.erase(victim);
-        --_perWarp[warp];
+    if (warp >= _warpKeys.size())
+        _warpKeys.resize(warp + 1);
+    std::vector<std::uint32_t> &keys = _warpKeys[warp];
+    if (keys.size() >= _params.cacheEntriesPerWarp) {
+        // Evict this warp's least-recently-used entry (LRU ages are
+        // unique); the victim was written to the cache only, so it
+        // retires to the MRF now.
+        auto victim = std::min_element(
+            keys.begin(), keys.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+                return _resident.at(a) < _resident.at(b);
+            });
+        _resident.erase(*victim);
+        *victim = keys.back();
+        keys.pop_back();
         ++_evictions;
         ++_mrfWrites;
     }
     _resident.emplace(k, ++_lruCounter);
-    ++_perWarp[warp];
+    keys.push_back(k);
 }
 
 Cycle
@@ -136,14 +137,11 @@ CompilerRfCache::onIssue(const arch::Warp &warp, Pc,
 void
 CompilerRfCache::onWarpFinished(const arch::Warp &warp, Cycle)
 {
-    for (auto it = _resident.begin(); it != _resident.end();) {
-        if (static_cast<WarpId>(it->first >> 16) == warp.id())
-            it = _resident.erase(it);
-        else
-            ++it;
-    }
-    if (warp.id() < _perWarp.size())
-        _perWarp[warp.id()] = 0;
+    if (warp.id() >= _warpKeys.size())
+        return;
+    for (std::uint32_t k : _warpKeys[warp.id()])
+        _resident.erase(k);
+    _warpKeys[warp.id()].clear();
 }
 
 } // namespace regless::regfile

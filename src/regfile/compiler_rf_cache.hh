@@ -74,8 +74,9 @@ class CompilerRfCache : public RegisterProvider
     std::vector<bool> _cacheable;
     /** Resident (warp, reg) -> LRU age. */
     std::unordered_map<std::uint32_t, std::uint64_t> _resident;
-    /** Resident entries per warp (bounds each warp's slice). */
-    std::vector<unsigned> _perWarp;
+    /** Each warp's resident keys (at most cacheEntriesPerWarp), so
+     *  eviction and teardown never walk other warps' entries. */
+    std::vector<std::vector<std::uint32_t>> _warpKeys;
     std::uint64_t _lruCounter = 0;
     FaultInjector *_faults = nullptr;
     Counter &_hits;

@@ -6,9 +6,11 @@
  * The SM asks the provider whether a warp's registers are available
  * before issuing, notifies it of every issued instruction (so it can
  * count accesses and manage its structures), and gives it a tick each
- * cycle for background work (RegLess preloading, evictions). Providers
- * expose their activity through named counters that the energy model
- * consumes.
+ * cycle for background work (RegLess preloading, evictions). A
+ * provider that gates issue on its own state may keep a wake list of
+ * warps whose answer changed, so refused warps need not be asked
+ * again every cycle. Providers expose their activity through named
+ * counters that the energy model consumes.
  */
 
 #ifndef REGLESS_REGFILE_REGISTER_PROVIDER_HH
@@ -63,6 +65,24 @@ class RegisterProvider
      * structural checks.
      */
     virtual bool canIssue(const arch::Warp &warp, Cycle now) = 0;
+
+    /**
+     * The provider's wake list (DESIGN.md §12, gated sleepers): warps
+     * whose canIssue()/blockCause() answer may have changed since the
+     * SM last drained it. The SM drains it after the providers' ticks
+     * of each stepped cycle, before its issue scan, and a warp
+     * refused by a provider with a list sleeps out of the scan until
+     * it is listed. So a provider that returns a list must (1) list a
+     * warp whenever its answer for it changes; (2) never change one
+     * warp's answer through another warp's issue or exit, nor in
+     * onCyclesSkipped(), since the SM looks at the list only between
+     * cycles; and (3) keep canIssue() and blockCause() free of side
+     * effects, since a sleeper is not asked. The default, no list,
+     * asks a refused warp again every cycle; a provider whose answer
+     * follows from per-cycle state (RegDem's canIssue reads the L1
+     * port and counts stalls) must keep it.
+     */
+    virtual std::vector<WarpId> *wakeList() { return nullptr; }
 
     /**
      * Why canIssue refused @a warp (stall attribution; DESIGN.md

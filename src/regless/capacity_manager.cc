@@ -35,6 +35,7 @@ CapacityManager::CapacityManager(std::string name,
       _mem(mem),
       _cfg(cfg),
       _numWarps(num_warps),
+      _drainEnd(regfile::kNoProviderEvent),
       _stats(std::move(name)),
       _l1Series(100),
       _activations(_stats.counter("activations")),
@@ -74,6 +75,34 @@ CapacityManager::ctx(WarpId warp) const
     if (warp >= _ctx.size() || !_supervised[warp])
         panic("warp ", warp, " not supervised by this CM");
     return _ctx[warp];
+}
+
+void
+CapacityManager::setState(WarpCtx &wc, WarpId warp, CmState state,
+                          arch::StallCause cause)
+{
+    if (wc.state == state && wc.blockCause == cause)
+        return;
+    const CmState old = wc.state;
+    wc.state = state;
+    wc.blockCause = cause;
+    if (_wakeList)
+        _wakeList->push_back(warp);
+    if (old == state)
+        return;
+    _preloading += (state == CmState::Preloading);
+    _preloading -= (old == CmState::Preloading);
+    if (state == CmState::Draining) {
+        ++_draining;
+        _drainEnd = std::min(_drainEnd, wc.drainUntil);
+    } else if (old == CmState::Draining) {
+        --_draining;
+        _drainEnd = regfile::kNoProviderEvent;
+        for (WarpId w : _shardWarps) {
+            if (_ctx[w].state == CmState::Draining)
+                _drainEnd = std::min(_drainEnd, _ctx[w].drainUntil);
+        }
+    }
 }
 
 Addr
@@ -289,18 +318,10 @@ CapacityManager::processPreloads(WarpCtx &wc, WarpId warp, Cycle now,
     // Attribution: a bank-port conflict only charges OsuBankConflict
     // when nothing was also waiting on memory; otherwise the preload
     // data in flight dominates.
-    wc.blockCause = blocked_bank && !blocked_mem
-                        ? arch::StallCause::OsuBankConflict
-                        : arch::StallCause::MemPending;
-}
-
-unsigned
-CapacityManager::preloadingWarps() const
-{
-    unsigned n = 0;
-    for (WarpId w : _shardWarps)
-        n += (_ctx[w].state == CmState::Preloading);
-    return n;
+    setState(wc, warp, wc.state,
+             blocked_bank && !blocked_mem
+                 ? arch::StallCause::OsuBankConflict
+                 : arch::StallCause::MemPending);
 }
 
 void
@@ -341,8 +362,7 @@ CapacityManager::finishDrain(WarpCtx &wc, WarpId warp, Cycle now)
     }
 
     sampleRegionStats(wc, now);
-    wc.state = CmState::Inactive;
-    wc.blockCause = arch::StallCause::CmNotStaged;
+    setState(wc, warp, CmState::Inactive, arch::StallCause::CmNotStaged);
     wc.region = compiler::invalidRegion;
     wc.preloadCount = 0;
     // Last-executed warp goes on top so its outputs are likely still
@@ -360,8 +380,7 @@ CapacityManager::tryActivate(Cycle now)
         panic("CapacityManager warp source not bound");
     if (_suspended)
         return; // region-boundary preemption: no new activations
-    while (preloadingWarps() < _cfg.preloadSlotsPerShard &&
-           !_stack.empty()) {
+    while (_preloading < _cfg.preloadSlotsPerShard && !_stack.empty()) {
         // Top-of-stack activation; warps parked at a barrier are
         // skipped so they cannot hoard staging space.
         auto pick = _stack.end();
@@ -412,7 +431,7 @@ CapacityManager::tryActivate(Cycle now)
         if (!fits) {
             ++_activationBlocked;
             _activationWasBlocked = true;
-            wc.blockCause = arch::StallCause::CmNoCapacity;
+            setState(wc, warp, wc.state, arch::StallCause::CmNoCapacity);
             return;
         }
         // Multi-tenant admission: the shared physical pool may refuse
@@ -429,7 +448,8 @@ CapacityManager::tryActivate(Cycle now)
                 ++_activationBlocked;
                 _activationWasBlocked = true;
                 _gateBlocked = true;
-                wc.blockCause = arch::StallCause::CmNoCapacity;
+                setState(wc, warp, wc.state,
+                         arch::StallCause::CmNoCapacity);
                 return;
             }
         }
@@ -473,8 +493,6 @@ CapacityManager::tryActivate(Cycle now)
         // are fetched and decoded as the region enters the pipeline.
         _metadataInsns += region.metadataInsns;
         _stack.erase(pick);
-        wc.state = CmState::Preloading;
-        wc.blockCause = arch::StallCause::MemPending;
         wc.region = rid;
         wc.preloadReady = now;
         wc.drainUntil = 0;
@@ -506,14 +524,16 @@ CapacityManager::tryActivate(Cycle now)
         for (RegId reg : region.cacheInvalidations)
             wc.invalidations.push_back(reg);
 
-        if (wc.preloads.empty() && wc.invalidations.empty()) {
-            wc.state = CmState::Active;
-            wc.blockCause = arch::StallCause::CmNotStaged;
-            wc.activatedAt = now;
-            ++_activations;
-            if (_onActivate)
-                _onActivate(warp, rid, now);
+        if (!wc.preloads.empty() || !wc.invalidations.empty()) {
+            setState(wc, warp, CmState::Preloading,
+                     arch::StallCause::MemPending);
+            continue;
         }
+        setState(wc, warp, CmState::Active, arch::StallCause::CmNotStaged);
+        wc.activatedAt = now;
+        ++_activations;
+        if (_onActivate)
+            _onActivate(warp, rid, now);
     }
 }
 
@@ -537,16 +557,21 @@ CapacityManager::tick(Cycle now)
 
     // Retire draining warps first so their lines are reusable.
     // Shard members index _ctx directly: membership holds by
-    // construction, so ctx()'s check is for ids from outside.
-    for (WarpId w : _shardWarps) {
-        WarpCtx &wc = _ctx[w];
-        if (wc.state == CmState::Draining && now >= wc.drainUntil)
-            finishDrain(wc, w, now);
+    // construction, so ctx()'s check is for ids from outside. Each
+    // loop runs only when the counts say it has work.
+    if (now >= _drainEnd) {
+        for (WarpId w : _shardWarps) {
+            WarpCtx &wc = _ctx[w];
+            if (wc.state == CmState::Draining && now >= wc.drainUntil)
+                finishDrain(wc, w, now);
+        }
     }
 
     // Progress preloading warps (one preload per bank per cycle).
     std::array<bool, osuBanks> bank_busy{};
-    for (WarpId w : _shardWarps) {
+    for (auto it = _shardWarps.begin();
+         _preloading != 0 && it != _shardWarps.end(); ++it) {
+        const WarpId w = *it;
         WarpCtx &wc = _ctx[w];
         if (wc.state != CmState::Preloading)
             continue;
@@ -554,8 +579,8 @@ CapacityManager::tick(Cycle now)
         processPreloads(wc, w, now, bank_busy);
         if (wc.preloads.empty() && wc.invalidations.empty() &&
             now >= wc.preloadReady) {
-            wc.state = CmState::Active;
-            wc.blockCause = arch::StallCause::CmNotStaged;
+            setState(wc, w, CmState::Active,
+                     arch::StallCause::CmNotStaged);
             wc.activatedAt = now;
             ++_activations;
             if (_onActivate)
@@ -596,19 +621,15 @@ CapacityManager::nextEventCycle(Cycle from) const
     // granularity until the activation goes through.
     if (_gateBlocked)
         return from;
-    Cycle next = regfile::kNoProviderEvent;
-    auto consider = [&](Cycle at) {
-        next = std::min(next, std::max(from, at));
-    };
-    for (WarpId w : _shardWarps) {
-        const WarpCtx &wc = _ctx[w];
-        if (wc.state == CmState::Preloading) {
-            if (!wc.preloads.empty() || !wc.invalidations.empty())
-                return from;
-            consider(wc.preloadReady);
-        } else if (wc.state == CmState::Draining) {
-            consider(wc.drainUntil);
-        }
+    Cycle next = std::max(from, _drainEnd);
+    for (auto it = _shardWarps.begin();
+         _preloading != 0 && it != _shardWarps.end(); ++it) {
+        const WarpCtx &wc = _ctx[*it];
+        if (wc.state != CmState::Preloading)
+            continue;
+        if (!wc.preloads.empty() || !wc.invalidations.empty())
+            return from;
+        next = std::min(next, std::max(from, wc.preloadReady));
     }
     // Activation attempts need no bound of their own: their outcome
     // only changes when a drain retires, a preload slot frees, or a
@@ -725,8 +746,8 @@ CapacityManager::onIssue(const arch::Warp &warp, Pc pc,
             }
         }
         wc.drainUntil = std::max({wc.drainUntil, now + 1, writeback});
-        wc.state = CmState::Draining;
-        wc.blockCause = arch::StallCause::CmNotStaged;
+        setState(wc, warp.id(), CmState::Draining,
+                 arch::StallCause::CmNotStaged);
     }
 }
 
@@ -848,7 +869,7 @@ CapacityManager::onWarpFinished(const arch::Warp &warp, Cycle now)
     wc.invalidations.clear();
     if (wc.region != compiler::invalidRegion)
         sampleRegionStats(wc, now);
-    wc.state = CmState::Done;
+    setState(wc, warp.id(), CmState::Done, wc.blockCause);
     wc.region = compiler::invalidRegion;
     for (auto it = _stack.begin(); it != _stack.end();) {
         if (*it == warp.id())

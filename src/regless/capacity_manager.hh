@@ -81,6 +81,12 @@ class CapacityManager
         _faults = injector;
     }
 
+    /**
+     * Append every warp whose state() or blockCause() changes to
+     * @a list (the provider's wake list; null disables).
+     */
+    void setWakeList(std::vector<WarpId> *list) { _wakeList = list; }
+
     /** Per-cycle work: queues, drains, activation. */
     void tick(Cycle now);
 
@@ -158,6 +164,22 @@ class CapacityManager
 
     /** Region activations so far (a forward-progress event). */
     std::uint64_t activations() const { return _activations.value(); }
+
+    /** Warps this CM supervises, in tick order. */
+    const std::vector<WarpId> &shardWarps() const { return _shardWarps; }
+
+    /** Cycle a draining @a warp's last write lands. */
+    Cycle drainUntil(WarpId warp) const { return ctx(warp).drainUntil; }
+
+    /** @name Maintained counts (tick() and nextEventCycle() skip
+     *  their per-warp loops when these say there is nothing to do). */
+    /// @{
+    unsigned preloadingWarps() const { return _preloading; }
+    unsigned drainingWarps() const { return _draining; }
+    /** Earliest drainUntil of a draining warp (kNoProviderEvent when
+     *  none drains). */
+    Cycle earliestDrainEnd() const { return _drainEnd; }
+    /// @}
 
     /** @name Multi-tenant hooks (DESIGN.md §16). */
     /// @{
@@ -269,7 +291,15 @@ class CapacityManager
     void finishDrain(WarpCtx &wc, WarpId warp, Cycle now);
     void sampleRegionStats(const WarpCtx &wc, Cycle now);
     void tryActivate(Cycle now);
-    unsigned preloadingWarps() const;
+
+    /**
+     * Set @a warp's state and blockCause, keeping the Preloading and
+     * Draining counts and the earliest drain end, and list the warp
+     * on the wake list when either changes. A warp enters Draining
+     * with its final drainUntil.
+     */
+    void setState(WarpCtx &wc, WarpId warp, CmState state,
+                  arch::StallCause cause);
 
     std::vector<WarpId> _shardWarps;
     const compiler::CompiledKernel &_ck;
@@ -282,6 +312,12 @@ class CapacityManager
     ShadowChecker *_shadow = nullptr;
     FaultInjector *_faults = nullptr;
     ActivationHook _onActivate;
+    std::vector<WarpId> *_wakeList = nullptr;
+    /** Supervised warps in Preloading and in Draining. */
+    unsigned _preloading = 0;
+    unsigned _draining = 0;
+    /** Min drainUntil over Draining warps. */
+    Cycle _drainEnd;
 
     /**
      * Per-warp state, indexed by global warp id (structure-of-arrays

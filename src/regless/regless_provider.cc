@@ -62,6 +62,7 @@ ReglessProvider::ReglessProvider(const compiler::CompiledKernel &ck,
             *_osus[s],
             cfg.compressorEnabled ? _compressors[s].get() : nullptr, mem,
             cfg, num_warps));
+        _cms.back()->setWakeList(&_wakeList);
     }
     if (cfg.runtimeCheck) {
         // One shadow per SM: CM callbacks are single-threaded within

@@ -68,6 +68,8 @@ class ReglessProvider : public regfile::RegisterProvider
     Cycle nextEventCycle(Cycle from) const override;
     void onCyclesSkipped(Cycle from, Cycle n) override;
     bool canIssue(const arch::Warp &warp, Cycle now) override;
+    /** The CMs list every warp whose state or blockCause changes. */
+    std::vector<WarpId> *wakeList() override { return &_wakeList; }
     arch::StallCause blockCause(const arch::Warp &warp,
                                 Cycle now) const override
     {
@@ -162,6 +164,7 @@ class ReglessProvider : public regfile::RegisterProvider
     std::vector<std::unique_ptr<Compressor>> _compressors;
     std::vector<std::unique_ptr<CapacityManager>> _cms;
     std::unique_ptr<ShadowChecker> _shadow;
+    std::vector<WarpId> _wakeList;
     FaultInjector *_faults = nullptr;
     Cycle _tickRotation = 0;
     Counter &_bankConflicts;

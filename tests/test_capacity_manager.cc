@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "arch/sm.hh"
 #include "compiler/compiler.hh"
 #include "mem/memory_system.hh"
@@ -16,6 +19,7 @@
 #include "sim/experiment.hh"
 #include "sim/gpu_simulator.hh"
 #include "workloads/kernel_builder.hh"
+#include "workloads/random_kernel.hh"
 #include "workloads/rodinia.hh"
 
 namespace regless
@@ -123,6 +127,81 @@ TEST(CmInvariantTest, ReservationsNeverExceedAvailability)
         }
     }
     EXPECT_TRUE(sm.done());
+}
+
+TEST(CmInvariantTest, MaintainedCountsMatchARecountEveryCycle)
+{
+    // The CM keeps its Preloading and Draining counts and earliest
+    // drain end instead of walking its warps every tick. Two tenants
+    // run random kernels on a small OSU to completion; tenant 1 is
+    // suspended and resumed at seeded cycles. After every step each
+    // CM's maintained values must equal a recount.
+    constexpr Cycle kNever = ~Cycle{0};
+    for (const std::uint64_t seed : {3u, 11u, 29u}) {
+        std::mt19937_64 rng(seed);
+        sim::GpuConfig gc =
+            sim::GpuConfig::forProvider(sim::ProviderKind::Regless);
+        gc.setOsuCapacity(128);
+        const arch::SmConfig scfg;
+        const compiler::CompiledKernel ck0 =
+            compiler::compile(workloads::randomKernel(seed), gc.compiler);
+        const compiler::CompiledKernel ck1 = compiler::compile(
+            workloads::randomKernel(seed + 1), gc.compiler);
+        mem::MemorySystem mem;
+        const unsigned half = scfg.numWarps / 2;
+        ReglessProvider p0(ck0, mem, gc.regless, scfg.numWarps, 0, half);
+        ReglessProvider p1(ck1, mem, gc.regless, scfg.numWarps, half,
+                           half);
+        arch::Sm sm({{&ck0, &p0, scfg.dataBase, scfg.sharedBase},
+                     {&ck1, &p1, scfg.dataBase + gc.tenants.dataStride,
+                      scfg.sharedBase + gc.tenants.sharedStride}},
+                    mem, scfg);
+        for (ReglessProvider *p : {&p0, &p1}) {
+            p->setWarpSource([&sm](WarpId w) -> const arch::Warp & {
+                return sm.warp(w);
+            });
+        }
+        const Cycle suspend_at = 100 + rng() % 400;
+        Cycle resume_at = kNever;
+        unsigned most_preloading = 0, most_draining = 0;
+        while (!sm.done()) {
+            if (sm.now() == suspend_at)
+                sm.requestSuspend(1, sm.now());
+            if (resume_at == kNever && sm.tenantSuspended(1))
+                resume_at = sm.now() + 1 + rng() % 1000;
+            if (sm.now() == resume_at)
+                sm.resumeTenant(1, sm.now());
+            sm.step();
+            for (ReglessProvider *p : {&p0, &p1}) {
+                for (unsigned s = 0; s < p->numShards(); ++s) {
+                    const staging::CapacityManager &cm = p->cm(s);
+                    unsigned preloading = 0, draining = 0;
+                    Cycle drain_end = regfile::kNoProviderEvent;
+                    for (WarpId w : cm.shardWarps()) {
+                        preloading += cm.state(w) == CmState::Preloading;
+                        if (cm.state(w) == CmState::Draining) {
+                            ++draining;
+                            drain_end =
+                                std::min(drain_end, cm.drainUntil(w));
+                        }
+                    }
+                    ASSERT_EQ(cm.preloadingWarps(), preloading)
+                        << "seed " << seed << " cycle " << sm.now() - 1;
+                    ASSERT_EQ(cm.drainingWarps(), draining)
+                        << "seed " << seed << " cycle " << sm.now() - 1;
+                    ASSERT_EQ(cm.earliestDrainEnd(), drain_end)
+                        << "seed " << seed << " cycle " << sm.now() - 1;
+                    most_preloading = std::max(most_preloading, preloading);
+                    most_draining = std::max(most_draining, draining);
+                }
+            }
+            ASSERT_LT(sm.now(), 2'000'000u) << "seed " << seed;
+        }
+        EXPECT_EQ(sm.tenantPreemptions(1), 1u) << "seed " << seed;
+        EXPECT_GT(sm.tenantSuspendedCycles(1), 0u) << "seed " << seed;
+        EXPECT_GT(most_preloading, 0u) << "seed " << seed;
+        EXPECT_GT(most_draining, 0u) << "seed " << seed;
+    }
 }
 
 TEST(CmInvariantTest, BankOccupancyNeverExceedsLines)
