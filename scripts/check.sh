@@ -27,10 +27,14 @@
 #      incremental-eligibility and sleeping-warp edge tests
 #      (IncrementalEligibility*, SleepingWarps*, GatedSleepers*:
 #      multi-word sleep masks, lazy stall rows, the provider wake
-#      list), the capacity manager's count recount, and the two-level
-#      scheduler's ring-vs-deque randomized test under ASan;
+#      list), the capacity manager's count recount, the two-level
+#      scheduler's ring-vs-deque randomized test (masked notifies
+#      included), the count-based slot charge against a walk of every
+#      warp, and the stall-row pin (its 64-line OSU cases exercise the
+#      cached blocked activation) under ASan;
 #   7. a UBSan pass over stats JSON and cache-entry parsing (hostile
-#      numbers must be parse failures, never out-of-range casts).
+#      numbers must be parse failures, never out-of-range casts) and
+#      over the canonical config text's number rendering.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -87,13 +91,15 @@ cmake --build "$BUILD_DIR" -j
 ASAN_DIR=${ASAN_BUILD_DIR:-build-asan}
 cmake -B "$ASAN_DIR" -S . -DREGLESS_SANITIZE=address
 cmake --build "$ASAN_DIR" -j --target regless_tests \
-    --target regless_oracle_tests
+    --target regless_oracle_tests --target regless_stall_rows
 "$ASAN_DIR"/tests/regless_oracle_tests \
     --gtest_filter='*CycleSkipOracle*:CycleSkip*'
 "$ASAN_DIR"/tests/regless_tests \
     --gtest_filter='*CycleSkipFuzz*:IncrementalEligibility*:SleepingWarps*'\
 ':GatedSleepers*:CmInvariantTest.MaintainedCountsMatchARecountEveryCycle'\
-':SchedulerTest.TwoLevelRingsMatchDequeReference'
+':SchedulerTest.TwoLevelRingsMatchDequeReference'\
+':SlotCharge.CountsMatchAWalkEveryCycle'
+"$ASAN_DIR"/tests/regless_stall_rows | cmp - tests/golden/stall_rows.txt
 
 # Same subset's parallel face under ThreadSanitizer: epoch-clamped
 # skipping on worker threads must stay race-free.
@@ -114,7 +120,7 @@ cmake --build "$UBSAN_DIR" -j --target regless_tests \
 for suite in regless_tests regless_cache_tests; do
     UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
         "$UBSAN_DIR"/tests/$suite \
-        --gtest_filter='StatsIo*:JobRecord*:JobCacheLoad*'
+        --gtest_filter='StatsIo*:JobRecord*:JobCacheLoad*:ConfigText*'
 done
 
 echo "check: tier-1, oracle, asan, tsan, and ubsan subsets all passed"

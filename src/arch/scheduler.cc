@@ -58,6 +58,7 @@ TwoLevelScheduler::TwoLevelScheduler(std::vector<WarpId> warps,
     : WarpScheduler(std::move(warps)),
       _promotionDelay(promotion_delay),
       _inActive(_warps.size(), false),
+      _demotable((_warps.size() + 63) / 64, 0),
       _readyAt(_warps.size(), 0)
 {
     for (unsigned i = 0; i < _warps.size(); ++i) {
@@ -67,6 +68,10 @@ TwoLevelScheduler::TwoLevelScheduler(std::vector<WarpId> warps,
         } else {
             _pending.push_back(i);
         }
+    }
+    for (unsigned i = 0; !_pending.empty() && i < _warps.size(); ++i) {
+        if (_inActive[i])
+            _demotable[i / 64] |= std::uint64_t{1} << (i % 64);
     }
     if (_warps.empty())
         return;
@@ -119,19 +124,21 @@ TwoLevelScheduler::notifyLongStall(WarpId warp)
         return;
     const auto idx = static_cast<unsigned>(found);
     // Erase idx from the active pool, keeping the others' order, and
-    // append the promoted warp at the back.
+    // append the promoted warp at the back (the slot before the head).
     const std::size_t n = _active.size();
-    std::size_t pos = 0;
-    while (_active[(_activeHead + pos) % n] != idx)
-        ++pos;
-    for (; pos + 1 < n; ++pos) {
-        _active[(_activeHead + pos) % n] =
-            _active[(_activeHead + pos + 1) % n];
-    }
+    auto next = [n](std::size_t pos) { return pos + 1 == n ? 0 : pos + 1; };
+    const std::size_t back = _activeHead == 0 ? n - 1 : _activeHead - 1;
+    std::size_t pos = _activeHead;
+    while (_active[pos] != idx)
+        pos = next(pos);
+    for (; pos != back; pos = next(pos))
+        _active[pos] = _active[next(pos)];
     const unsigned promoted = _pending[_pendingHead];
-    _active[(_activeHead + n - 1) % n] = promoted;
+    _active[back] = promoted;
     _inActive[promoted] = true;
     _inActive[idx] = false;
+    _demotable[promoted / 64] |= std::uint64_t{1} << (promoted % 64);
+    _demotable[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
     _readyAt[promoted] = _cycle + _promotionDelay;
     // Pop the pending front and push the demoted warp at the back.
     _pending[_pendingHead] = idx;

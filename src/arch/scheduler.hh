@@ -65,6 +65,15 @@ class WarpScheduler
     virtual bool usesLongStallFeedback() const { return true; }
 
     /**
+     * Bitmask, by position in warps() (bit i of word i / 64), of the
+     * warps notifyLongStall can act on right now; a call for any
+     * other warp must change nothing. The SM then notifies only the
+     * masked warps, re-reading the mask after each call. Null (the
+     * default, kept by decorators) means every call is sent.
+     */
+    virtual const std::uint64_t *demotableMask() const { return nullptr; }
+
+    /**
      * Does this scheduler's internal state stay constant across a
      * cycle in which nothing is eligible? Required for event-driven
      * cycle skipping: a window of all-stalled cycles may be collapsed
@@ -125,6 +134,10 @@ class TwoLevelScheduler : public WarpScheduler
     int pick(const std::vector<bool> &eligible) override;
     void notifyLongStall(WarpId warp) override;
     bool quiescentWhenStalled() const override { return false; }
+    const std::uint64_t *demotableMask() const override
+    {
+        return _demotable.data();
+    }
 
     /** Warps in the active pool, in round-robin order from the next
      *  one pick() tries (exposed for Figure 2). */
@@ -145,6 +158,9 @@ class TwoLevelScheduler : public WarpScheduler
     std::size_t _pendingHead = 0;
     /** Per warp index: in the active pool? */
     std::vector<bool> _inActive;
+    /** demotableMask(): the active pool's bits, or none when nothing
+     *  is pending (a demotion needs a warp to promote). */
+    std::vector<std::uint64_t> _demotable;
     std::vector<std::uint64_t> _readyAt; ///< per warp index
     /** warps() index of warp id _lowestId + k, or -1 (dense lookup). */
     std::vector<int> _indexOf;

@@ -58,6 +58,7 @@ Sm::Sm(std::vector<SmTenantSpec> tenants, mem::MemorySystem &mem,
       _issued(_stats.counter("insns_issued")),
       _sbVerdicts(_stats.counter("sb_verdicts")),
       _scanVisits(_stats.counter("scan_visits")),
+      _notifies(_stats.counter("notifies")),
       _slotIssued(_stats.counter("issued_slots")),
       _divergentBranches(_stats.counter("divergent_branches")),
       _memTransactions(_stats.counter("global_mem_transactions")),
@@ -65,6 +66,11 @@ Sm::Sm(std::vector<SmTenantSpec> tenants, mem::MemorySystem &mem,
       _skipEvents(_stats.counter("skip_events")),
       _warpStalls(config.numWarps)
 {
+    for (std::size_t o = 0; o < kNumScanOutcomes; ++o) {
+        _scanOutcomes[o] = &_stats.counter(
+            std::string("scan_visits_") +
+            scanOutcomeName(static_cast<ScanOutcome>(o)));
+    }
     for (std::size_t c = 0; c < kNumStallCauses; ++c) {
         _stallSlots[c] = &_stats.counter(
             std::string("stall_") +
@@ -143,9 +149,10 @@ Sm::Sm(std::vector<SmTenantSpec> tenants, mem::MemorySystem &mem,
         ScanGroup sg{std::vector<bool>(group_size, false),
                      std::vector<StallCause>(group_size,
                                              StallCause::NoWarp),
-                     none, none, none, none, none,
+                     none, none, none, none, none, {},
                      kNoSbExpiry, regfile::kNoProviderEvent,
-                     sched->usesLongStallFeedback()};
+                     sched->usesLongStallFeedback(),
+                     sched->demotableMask()};
         // Slots past the group's end sleep for good.
         if (const std::size_t tail = group_size % kMaskBits)
             sg.asleep.back() = ~std::uint64_t{0} << tail;
@@ -166,6 +173,7 @@ Sm::exchangeScheduler(unsigned g,
               " must supervise the same warps");
     std::swap(slot, replacement);
     _scan[g].feedback = slot->usesLongStallFeedback();
+    _scan[g].demotable = slot->demotableMask();
     _schedulersQuiescent = true;
     for (const auto &sched : _schedulers)
         _schedulersQuiescent &= sched->quiescentWhenStalled();
@@ -362,7 +370,7 @@ Sm::eligible(Tenant &tn, const Warp &warp, Cycle now, bool *long_stall,
     return true;
 }
 
-std::vector<Addr>
+Sm::LaneAddrs
 Sm::laneAddrs(const Warp &warp, const ir::Instruction &insn,
               Addr base) const
 {
@@ -372,7 +380,7 @@ Sm::laneAddrs(const Warp &warp, const ir::Instruction &insn,
             ? insn.srcs().at(1)
             : insn.srcs().at(0);
     const ir::LaneValues &av = warp.regValue(addr_reg);
-    std::vector<Addr> addrs(warpSize);
+    LaneAddrs addrs;
     for (unsigned lane = 0; lane < warpSize; ++lane) {
         addrs[lane] = base + static_cast<Addr>(av[lane]) +
                       static_cast<Addr>(insn.imm());
@@ -380,16 +388,16 @@ Sm::laneAddrs(const Warp &warp, const ir::Instruction &insn,
     return addrs;
 }
 
-std::vector<Addr>
-Sm::coalesce(const std::vector<Addr> &addrs, LaneMask mask) const
+Sm::LineSet
+Sm::coalesce(const LaneAddrs &addrs, LaneMask mask) const
 {
-    std::vector<Addr> lines;
+    LineSet lines;
     for (unsigned lane = 0; lane < warpSize; ++lane) {
         if (!(mask & (1u << lane)))
             continue;
         Addr line = mem::lineAddr(addrs[lane]);
         if (std::find(lines.begin(), lines.end(), line) == lines.end())
-            lines.push_back(line);
+            lines.line[lines.count++] = line;
     }
     return lines;
 }
@@ -405,11 +413,14 @@ Sm::execAlu(Tenant &tn, Warp &warp, const ir::Instruction &insn,
     } else if (insn.op() == ir::Opcode::CtaId) {
         result.fill(warp.blockId());
     } else {
-        std::vector<ir::LaneValues> srcs;
-        srcs.reserve(insn.srcs().size());
-        for (RegId src : insn.srcs())
-            srcs.push_back(warp.regValue(src));
-        result = insn.evaluate(srcs);
+        // An ALU instruction reads at most three sources; evaluate()
+        // checks the count against its opcode.
+        std::array<const ir::LaneValues *, 3> srcs{};
+        const std::size_t count =
+            std::min(insn.srcs().size(), srcs.size());
+        for (std::size_t k = 0; k < count; ++k)
+            srcs[k] = &warp.regValue(insn.srcs()[k]);
+        result = insn.evaluate(srcs.data(), count);
     }
     warp.writeReg(insn.dst(), result, warp.activeMask());
     tn.scoreboard.recordWrite(warp.id(), insn,
@@ -422,7 +433,7 @@ Sm::execGlobalLoad(Tenant &tn, Warp &warp, const ir::Instruction &insn,
                    Cycle now)
 {
     LaneMask mask = warp.activeMask();
-    std::vector<Addr> addrs = laneAddrs(warp, insn, tn.dataBase);
+    const LaneAddrs addrs = laneAddrs(warp, insn, tn.dataBase);
 
     ir::LaneValues result{};
     for (unsigned lane = 0; lane < warpSize; ++lane) {
@@ -448,7 +459,7 @@ Sm::execGlobalStore(Tenant &tn, Warp &warp, const ir::Instruction &insn,
                     Cycle now)
 {
     LaneMask mask = warp.activeMask();
-    std::vector<Addr> addrs = laneAddrs(warp, insn, tn.dataBase);
+    const LaneAddrs addrs = laneAddrs(warp, insn, tn.dataBase);
     const ir::LaneValues &data = warp.regValue(insn.srcs().at(0));
     for (unsigned lane = 0; lane < warpSize; ++lane) {
         if (mask & (1u << lane))
@@ -469,7 +480,7 @@ Sm::execShared(Tenant &tn, Warp &warp, const ir::Instruction &insn,
     LaneMask mask = warp.activeMask();
     const Addr seg =
         tn.sharedBase + (static_cast<Addr>(warp.blockId()) << 20);
-    std::vector<Addr> addrs = laneAddrs(warp, insn, seg);
+    const LaneAddrs addrs = laneAddrs(warp, insn, seg);
     if (insn.op() == ir::Opcode::LdShared) {
         ir::LaneValues result{};
         for (unsigned lane = 0; lane < warpSize; ++lane) {
@@ -615,11 +626,19 @@ Sm::issue(Tenant &tn, Warp &warp, Cycle now)
 }
 
 void
+Sm::sleep(ScanGroup &sg, std::size_t i)
+{
+    sg.asleep[i / kMaskBits] |= std::uint64_t{1} << (i % kMaskBits);
+    ++sg.sleepers[static_cast<std::size_t>(sg.cause[i])];
+}
+
+void
 Sm::wake(ScanGroup &sg, std::size_t i, WarpId w)
 {
-    _warpStalls[w][static_cast<std::size_t>(sg.cause[i])] +=
-        _now - _sleepRun[w];
+    const auto c = static_cast<std::size_t>(sg.cause[i]);
+    _warpStalls[w][c] += _now - _sleepRun[w];
     _sleepRun[w] = kNoStallRun;
+    --sg.sleepers[c];
     const std::size_t k = i / kMaskBits;
     const std::uint64_t keep = ~(std::uint64_t{1} << (i % kMaskBits));
     sg.asleep[k] &= keep;
@@ -646,6 +665,30 @@ Sm::wakeSleepers(ScanGroup &sg, const std::vector<WarpId> &group,
                 continue;
             }
             wake(sg, i, w);
+        }
+    }
+}
+
+void
+Sm::notifyLongStalls(ScanGroup &sg, WarpScheduler &sched)
+{
+    const auto &group = sched.warps();
+    for (std::size_t k = 0; k < sg.notify.size(); ++k) {
+        std::uint64_t bits = sg.notify[k] | sg.flagged[k];
+        sg.flagged[k] = 0;
+        while (bits != 0) {
+            // Only warps the scheduler can demote hear the call. A
+            // demotion promotes another warp, which may be a later
+            // one here: re-read the mask after every call.
+            const std::uint64_t due =
+                sg.demotable ? bits & sg.demotable[k] : bits;
+            if (due == 0)
+                break;
+            const unsigned b = std::countr_zero(due);
+            // Drop this bit and every lower one: ascending order.
+            bits &= ~std::uint64_t{0} << b << 1;
+            ++_notifies;
+            sched.notifyLongStall(group[k * kMaskBits + b]);
         }
     }
 }
@@ -709,6 +752,8 @@ Sm::stepImpl(SkipProbe *probe)
         if (_now >= sg.wakeAt)
             wakeSleepers(sg, group, _now);
         bool any = false;
+        // Least stallPrecedence over the awake warps found blocked.
+        StallCause awake_charge = StallCause::NoWarp;
         for (std::size_t k = 0; k < sg.asleep.size(); ++k) {
             for (std::uint64_t awake = ~sg.asleep[k]; awake != 0;
                  awake &= awake - 1) {
@@ -721,14 +766,20 @@ Sm::stepImpl(SkipProbe *probe)
                 can[i] = eligible(tn, warp, _now, &long_stall, &cause[i],
                                   probe ? &probe->nextEvent : nullptr);
                 if (can[i]) {
+                    countVisit(ScanOutcome::Eligible);
                     any = true;
                     continue;
+                }
+                if (stallPrecedence(cause[i]) <
+                    stallPrecedence(awake_charge)) {
+                    awake_charge = cause[i];
                 }
                 const std::uint64_t bit = std::uint64_t{1} << b;
                 if (warp.status() == WarpStatus::Finished) {
                     // Finished for good. Notified every cycle all the
                     // same: a two-level scheduler must demote it.
-                    sg.asleep[k] |= bit;
+                    countVisit(ScanOutcome::Finished);
+                    sleep(sg, i);
                     sg.notify[k] |= bit;
                     continue;
                 }
@@ -736,6 +787,9 @@ Sm::stepImpl(SkipProbe *probe)
                     // Barrier-parked: must vacate a two-level
                     // scheduler's active pool, or pending warps never
                     // get promoted and the SM deadlocks.
+                    countVisit(tn.suspended       ? ScanOutcome::Suspended
+                               : !_resident[w] ? ScanOutcome::NonResident
+                                               : ScanOutcome::Barrier);
                     if (sg.feedback)
                         sg.flagged[k] |= bit;
                     continue;
@@ -755,13 +809,21 @@ Sm::stepImpl(SkipProbe *probe)
                                    !v.insn->isGlobalStore();
                 if (tn.suspended || !_resident[w] ||
                     (v.ready && !gated)) {
+                    countVisit(tn.suspended       ? ScanOutcome::Suspended
+                               : !_resident[w] ? ScanOutcome::NonResident
+                               : !v.ready      ? ScanOutcome::Scoreboard
+                               : cause[i] == StallCause::ExecPortBusy
+                                   ? ScanOutcome::PortWait
+                                   : ScanOutcome::ProviderRefused);
                     if (probe)
                         _chargedWarps.emplace_back(w, cause[i]);
                     continue;
                 }
                 // Its stall run from the next cycle on is charged when
                 // it wakes, to the cause it sleeps with.
-                sg.asleep[k] |= bit;
+                countVisit(gated ? ScanOutcome::ProviderRefused
+                                 : ScanOutcome::Scoreboard);
+                sleep(sg, i);
                 _sleepRun[w] = _now + 1;
                 if (gated) {
                     // Refused by the provider: only a provider state
@@ -783,16 +845,8 @@ Sm::stepImpl(SkipProbe *probe)
         // Long-stall feedback, in ascending group index. Batching the
         // calls after the scan is exact: eligible() never reads
         // scheduler state.
-        if (sg.feedback) {
-            for (std::size_t k = 0; k < sg.notify.size(); ++k) {
-                for (std::uint64_t bits = sg.notify[k] | sg.flagged[k];
-                     bits != 0; bits &= bits - 1) {
-                    sched->notifyLongStall(
-                        group[k * kMaskBits + std::countr_zero(bits)]);
-                }
-                sg.flagged[k] = 0;
-            }
-        }
+        if (sg.feedback)
+            notifyLongStalls(sg, *sched);
         if (probe)
             probe->nextEvent = std::min(probe->nextEvent, sg.nextEvent);
         const int picked = any ? sched->pick(can) : -1;
@@ -808,12 +862,16 @@ Sm::stepImpl(SkipProbe *probe)
             ++tn.stallSlots[static_cast<std::size_t>(
                 StallCause::NoWarp)];
         } else {
-            // Charge the slot to the blocked warp closest to issuing.
-            StallCause charge = StallCause::NoWarp;
-            for (std::size_t i = 0; i < group.size(); ++i) {
-                if (stallPrecedence(cause[i]) <
-                    stallPrecedence(charge)) {
-                    charge = cause[i];
+            // Charge the slot to the blocked warp closest to issuing:
+            // the awake ones were all blocked and seen above, and the
+            // sleepers are counted by frozen cause. stallPrecedence is
+            // one-to-one, so the minimum names a single cause.
+            StallCause charge = awake_charge;
+            for (std::size_t c = 0; c < kNumStallCauses; ++c) {
+                const auto sleeper = static_cast<StallCause>(c);
+                if (sg.sleepers[c] != 0 &&
+                    stallPrecedence(sleeper) < stallPrecedence(charge)) {
+                    charge = sleeper;
                 }
             }
             ++*_stallSlots[static_cast<std::size_t>(charge)];

@@ -84,6 +84,43 @@ struct SmConfig
     bool cycleSkip = true;
 };
 
+/**
+ * What one issue-scan visit found (the split of the "scan_visits"
+ * work counter). A warp that is not eligible is classified by the
+ * first of these that holds: finished, tenant suspended,
+ * non-resident, barrier-parked, blocked on its scoreboard, waiting
+ * for the L1 port, refused by its provider.
+ */
+enum class ScanOutcome : std::uint8_t
+{
+    Eligible,
+    PortWait,
+    Scoreboard,
+    Barrier,
+    NonResident,
+    ProviderRefused,
+    Suspended,
+    Finished,
+};
+
+constexpr std::size_t kNumScanOutcomes = 8;
+
+constexpr const char *
+scanOutcomeName(ScanOutcome outcome)
+{
+    switch (outcome) {
+      case ScanOutcome::Eligible: return "eligible";
+      case ScanOutcome::PortWait: return "port_wait";
+      case ScanOutcome::Scoreboard: return "scoreboard";
+      case ScanOutcome::Barrier: return "barrier";
+      case ScanOutcome::NonResident: return "non_resident";
+      case ScanOutcome::ProviderRefused: return "provider_refused";
+      case ScanOutcome::Suspended: return "suspended";
+      case ScanOutcome::Finished: return "finished";
+    }
+    return "unknown";
+}
+
 /** One co-resident kernel launch on a multi-tenant SM. */
 struct SmTenantSpec
 {
@@ -390,6 +427,9 @@ class Sm
         std::vector<std::uint64_t> notify;
         /** Awake barrier-parked warps to notify this cycle. */
         std::vector<std::uint64_t> flagged;
+        /** Sleepers by frozen cause (finished warps included): the
+         *  slot charge reads these instead of walking the group. */
+        std::array<unsigned, kNumStallCauses> sleepers;
         /** Earliest cycle a timed sleeper's verdict expires. */
         Cycle wakeAt;
         /** Min nextChange over timed sleepers: their skip-probe
@@ -398,6 +438,9 @@ class Sm
         Cycle nextEvent;
         /** Does the group's scheduler act on notifyLongStall? */
         bool feedback;
+        /** The scheduler's WarpScheduler::demotableMask() (null:
+         *  notify every flagged warp). */
+        const std::uint64_t *demotable;
     };
 
     /**
@@ -408,9 +451,16 @@ class Sm
     void wakeSleepers(ScanGroup &sg, const std::vector<WarpId> &group,
                       Cycle due);
 
+    /** Put slot @a i of @a sg to sleep with its current cause. */
+    void sleep(ScanGroup &sg, std::size_t i);
+
     /** Wake the Running sleeper @a w, slot @a i of @a sg, charging
      *  its stall run up to now to its frozen cause. */
     void wake(ScanGroup &sg, std::size_t i, WarpId w);
+
+    /** Send this cycle's long-stall feedback of @a sg to @a sched,
+     *  in ascending group index, and clear the flagged warps. */
+    void notifyLongStalls(ScanGroup &sg, WarpScheduler &sched);
 
     /** Scheduler group of @a warp and its index within the group. */
     std::pair<unsigned, std::size_t> scanSlot(WarpId warp) const;
@@ -441,6 +491,11 @@ class Sm
                   bool *long_stall, StallCause *cause = nullptr,
                   Cycle *next_event = nullptr);
 
+    void countVisit(ScanOutcome outcome)
+    {
+        ++*_scanOutcomes[static_cast<std::size_t>(outcome)];
+    }
+
     /** One cycle of the SM; fills @a probe when non-null. */
     void stepImpl(SkipProbe *probe);
 
@@ -470,13 +525,21 @@ class Sm
     Pc reconvergePcFor(const Tenant &tn, ir::BlockId block) const;
 
     /** Per-lane effective addresses of a memory instruction. */
-    std::vector<Addr> laneAddrs(const Warp &warp,
-                                const ir::Instruction &insn,
-                                Addr base) const;
+    using LaneAddrs = std::array<Addr, warpSize>;
+    LaneAddrs laneAddrs(const Warp &warp, const ir::Instruction &insn,
+                        Addr base) const;
+
+    /** Distinct 128B lines, in first-touching lane order. */
+    struct LineSet
+    {
+        std::array<Addr, warpSize> line{};
+        unsigned count = 0;
+        const Addr *begin() const { return line.data(); }
+        const Addr *end() const { return line.data() + count; }
+    };
 
     /** Distinct 128B lines touched by active lanes. */
-    std::vector<Addr> coalesce(const std::vector<Addr> &addrs,
-                               LaneMask mask) const;
+    LineSet coalesce(const LaneAddrs &addrs, LaneMask mask) const;
 
     /** Release a block's barrier when everyone has arrived. */
     void checkBarrier(Tenant &tn, unsigned block_id);
@@ -507,8 +570,12 @@ class Sm
     Counter &_issued;
     /** Work counter: SbVerdict recomputations (not in RunStats). */
     Counter &_sbVerdicts;
-    /** Work counter: per-warp evaluations of the issue scan. */
+    /** Work counter: per-warp evaluations of the issue scan, and
+     *  their split by outcome ("scan_visits_<outcome>"). */
     Counter &_scanVisits;
+    std::array<Counter *, kNumScanOutcomes> _scanOutcomes{};
+    /** Work counter: notifyLongStall calls sent. */
+    Counter &_notifies;
     Counter &_slotIssued;
     std::array<Counter *, kNumStallCauses> _stallSlots{};
     Counter &_divergentBranches;

@@ -1,5 +1,6 @@
 #include "ir/cfg_analysis.hh"
 
+#include <algorithm>
 #include <deque>
 
 #include "common/logging.hh"
@@ -28,6 +29,7 @@ CfgAnalysis::CfgAnalysis(const Kernel &kernel)
     computeReachability();
     computeDominators();
     computePostdominators();
+    computeImmediatePostdominators();
     findLoops();
 }
 
@@ -185,34 +187,38 @@ CfgAnalysis::isBackEdge(BlockId from, BlockId to) const
     return false;
 }
 
-BlockId
-CfgAnalysis::immediatePostdominator(BlockId b) const
+void
+CfgAnalysis::computeImmediatePostdominators()
 {
-    // The nearest strict postdominator: the one that every other
-    // strict postdominator of b also postdominates... from the other
-    // side: p is immediate iff no other strict pdom q of b has p as a
-    // strict pdom of q (p is the closest to b).
-    BlockId best = invalidBlock;
-    for (BlockId p : postdominatorsOf(b)) {
-        if (p == b)
-            continue;
-        bool closest = true;
-        for (BlockId q : postdominatorsOf(b)) {
-            if (q == b || q == p)
-                continue;
-            // If p postdominates q, then q is between b and p: p is
-            // not the closest.
-            if (postdominates(p, q)) {
-                closest = false;
+    // The nearest strict postdominator of b: the lowest-id strict
+    // pdom p that strictly postdominates no other strict pdom q of b
+    // (if p postdominated q, q would sit between b and p).
+    const std::size_t n = _kernel.blocks().size();
+    _ipdom.assign(n, invalidBlock);
+    std::vector<BlockId> strict;
+    for (BlockId b = 0; b < n; ++b) {
+        strict.clear();
+        for (BlockId p = 0; p < n; ++p) {
+            if (p != b && _pdom[b].test(p))
+                strict.push_back(p);
+        }
+        for (BlockId p : strict) {
+            const bool closest =
+                std::none_of(strict.begin(), strict.end(), [&](BlockId q) {
+                    return q != p && postdominates(p, q);
+                });
+            if (closest) {
+                _ipdom[b] = p;
                 break;
             }
         }
-        if (closest) {
-            best = p;
-            break;
-        }
     }
-    return best;
+}
+
+BlockId
+CfgAnalysis::immediatePostdominator(BlockId b) const
+{
+    return _ipdom.at(b);
 }
 
 std::vector<BlockId>

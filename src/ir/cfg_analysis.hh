@@ -96,11 +96,14 @@ class CfgAnalysis
     void computeReachability();
     void computeDominators();
     void computePostdominators();
+    void computeImmediatePostdominators();
     void findLoops();
 
     const Kernel &_kernel;
     std::vector<BlockSet> _dom;
     std::vector<BlockSet> _pdom;
+    /** immediatePostdominator() of each block. */
+    std::vector<BlockId> _ipdom;
     BlockSet _reachable;
     BlockSet _inLoop;
     std::vector<std::pair<BlockId, BlockId>> _backEdges;

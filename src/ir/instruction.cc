@@ -1,8 +1,10 @@
 #include "ir/instruction.hh"
 
 #include <cmath>
+#include <algorithm>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/logging.hh"
 
@@ -120,118 +122,205 @@ Instruction::fuClass() const
     }
 }
 
+namespace
+{
+
+/** Apply @a f lane by lane to the source operands @a src. */
+template <typename F, typename... Src>
+LaneValues
+lanewise(F f, const Src &...src)
+{
+    LaneValues out;
+    for (unsigned lane = 0; lane < warpSize; ++lane)
+        out[lane] = f(src[lane]...);
+    return out;
+}
+
+std::int32_t
+asSigned(std::uint32_t v)
+{
+    return static_cast<std::int32_t>(v);
+}
+
+} // namespace
+
+unsigned
+Instruction::aluSrcCount() const
+{
+    switch (_op) {
+      case Opcode::MovImm:
+      case Opcode::Tid:
+      case Opcode::CtaId:
+        return 0;
+      case Opcode::Mov:
+      case Opcode::IAddImm:
+      case Opcode::IMulImm:
+      case Opcode::Rcp:
+      case Opcode::Sqrt:
+        return 1;
+      case Opcode::IMad:
+      case Opcode::FFma:
+      case Opcode::Selp:
+        return 3;
+      case Opcode::IAdd:
+      case Opcode::ISub:
+      case Opcode::IMul:
+      case Opcode::FAdd:
+      case Opcode::FMul:
+      case Opcode::Shl:
+      case Opcode::Shr:
+      case Opcode::And:
+      case Opcode::Or:
+      case Opcode::Xor:
+      case Opcode::IMin:
+      case Opcode::IMax:
+      case Opcode::SetLt:
+      case Opcode::SetGe:
+      case Opcode::SetEq:
+      case Opcode::SetNe:
+        return 2;
+      default:
+        panic("Instruction::evaluate on non-ALU opcode ",
+              opcodeName(_op));
+    }
+}
+
+LaneValues
+Instruction::evaluate(const LaneValues *const *srcs, std::size_t count) const
+{
+    if (count < aluSrcCount())
+        throw std::out_of_range(std::string(opcodeName(_op)) +
+                                " reads more sources than it was given");
+    const auto imm = static_cast<std::uint32_t>(_imm);
+    // One dispatch per instruction; the lane loops below inline their
+    // operation.
+    switch (_op) {
+      case Opcode::Mov:
+        return *srcs[0];
+      case Opcode::MovImm:
+      case Opcode::CtaId: {
+        LaneValues out;
+        out.fill(imm);
+        return out;
+      }
+      case Opcode::Tid: {
+        // Warp-relative offset is added by the SM; evaluate yields
+        // the lane component so the IR stays context-free.
+        LaneValues out;
+        for (unsigned lane = 0; lane < warpSize; ++lane)
+            out[lane] = lane + imm;
+        return out;
+      }
+      case Opcode::IAdd:
+        return lanewise([](auto a, auto b) { return a + b; }, *srcs[0],
+                        *srcs[1]);
+      case Opcode::ISub:
+        return lanewise([](auto a, auto b) { return a - b; }, *srcs[0],
+                        *srcs[1]);
+      case Opcode::IMul:
+        return lanewise([](auto a, auto b) { return a * b; }, *srcs[0],
+                        *srcs[1]);
+      case Opcode::IMad:
+        return lanewise([](auto a, auto b, auto c) { return a * b + c; },
+                        *srcs[0], *srcs[1], *srcs[2]);
+      case Opcode::IAddImm:
+        return lanewise([imm](auto a) { return a + imm; }, *srcs[0]);
+      case Opcode::IMulImm:
+        return lanewise([imm](auto a) { return a * imm; }, *srcs[0]);
+      case Opcode::FAdd:
+        return lanewise(
+            [](auto a, auto b) { return asBits(asFloat(a) + asFloat(b)); },
+            *srcs[0], *srcs[1]);
+      case Opcode::FMul:
+        return lanewise(
+            [](auto a, auto b) { return asBits(asFloat(a) * asFloat(b)); },
+            *srcs[0], *srcs[1]);
+      case Opcode::FFma:
+        return lanewise(
+            [](auto a, auto b, auto c) {
+                return asBits(asFloat(a) * asFloat(b) + asFloat(c));
+            },
+            *srcs[0], *srcs[1], *srcs[2]);
+      case Opcode::Shl:
+        return lanewise([](auto a, auto b) { return a << (b & 31); },
+                        *srcs[0], *srcs[1]);
+      case Opcode::Shr:
+        return lanewise([](auto a, auto b) { return a >> (b & 31); },
+                        *srcs[0], *srcs[1]);
+      case Opcode::And:
+        return lanewise([](auto a, auto b) { return a & b; }, *srcs[0],
+                        *srcs[1]);
+      case Opcode::Or:
+        return lanewise([](auto a, auto b) { return a | b; }, *srcs[0],
+                        *srcs[1]);
+      case Opcode::Xor:
+        return lanewise([](auto a, auto b) { return a ^ b; }, *srcs[0],
+                        *srcs[1]);
+      case Opcode::IMin:
+        return lanewise(
+            [](auto a, auto b) {
+                return static_cast<std::uint32_t>(
+                    std::min(asSigned(a), asSigned(b)));
+            },
+            *srcs[0], *srcs[1]);
+      case Opcode::IMax:
+        return lanewise(
+            [](auto a, auto b) {
+                return static_cast<std::uint32_t>(
+                    std::max(asSigned(a), asSigned(b)));
+            },
+            *srcs[0], *srcs[1]);
+      case Opcode::SetLt:
+        return lanewise(
+            [](auto a, auto b) -> std::uint32_t {
+                return asSigned(a) < asSigned(b);
+            },
+            *srcs[0], *srcs[1]);
+      case Opcode::SetGe:
+        return lanewise(
+            [](auto a, auto b) -> std::uint32_t {
+                return asSigned(a) >= asSigned(b);
+            },
+            *srcs[0], *srcs[1]);
+      case Opcode::SetEq:
+        return lanewise(
+            [](auto a, auto b) -> std::uint32_t { return a == b; },
+            *srcs[0], *srcs[1]);
+      case Opcode::SetNe:
+        return lanewise(
+            [](auto a, auto b) -> std::uint32_t { return a != b; },
+            *srcs[0], *srcs[1]);
+      case Opcode::Selp:
+        return lanewise([](auto a, auto b, auto p) { return p ? a : b; },
+                        *srcs[0], *srcs[1], *srcs[2]);
+      case Opcode::Rcp:
+        return lanewise(
+            [](auto a) {
+                const float f = asFloat(a);
+                return asBits(f == 0.0f ? 0.0f : 1.0f / f);
+            },
+            *srcs[0]);
+      case Opcode::Sqrt:
+        return lanewise(
+            [](auto a) {
+                const float f = asFloat(a);
+                return asBits(f < 0.0f ? 0.0f : std::sqrt(f));
+            },
+            *srcs[0]);
+      default:
+        panic("Instruction::evaluate on non-ALU opcode ",
+              opcodeName(_op));
+    }
+}
+
 LaneValues
 Instruction::evaluate(const std::vector<LaneValues> &srcs) const
 {
-    auto src = [&](unsigned idx, unsigned lane) -> std::uint32_t {
-        return srcs.at(idx)[lane];
-    };
-
-    LaneValues out{};
-    for (unsigned lane = 0; lane < warpSize; ++lane) {
-        std::uint32_t v = 0;
-        switch (_op) {
-          case Opcode::Mov:
-            v = src(0, lane);
-            break;
-          case Opcode::MovImm:
-            v = static_cast<std::uint32_t>(_imm);
-            break;
-          case Opcode::Tid:
-            // Warp-relative offset is added by the SM; evaluate yields
-            // the lane component so the IR stays context-free.
-            v = lane + static_cast<std::uint32_t>(_imm);
-            break;
-          case Opcode::CtaId:
-            v = static_cast<std::uint32_t>(_imm);
-            break;
-          case Opcode::IAdd:
-            v = src(0, lane) + src(1, lane);
-            break;
-          case Opcode::ISub:
-            v = src(0, lane) - src(1, lane);
-            break;
-          case Opcode::IMul:
-            v = src(0, lane) * src(1, lane);
-            break;
-          case Opcode::IMad:
-            v = src(0, lane) * src(1, lane) + src(2, lane);
-            break;
-          case Opcode::IAddImm:
-            v = src(0, lane) + static_cast<std::uint32_t>(_imm);
-            break;
-          case Opcode::IMulImm:
-            v = src(0, lane) * static_cast<std::uint32_t>(_imm);
-            break;
-          case Opcode::FAdd:
-            v = asBits(asFloat(src(0, lane)) + asFloat(src(1, lane)));
-            break;
-          case Opcode::FMul:
-            v = asBits(asFloat(src(0, lane)) * asFloat(src(1, lane)));
-            break;
-          case Opcode::FFma:
-            v = asBits(asFloat(src(0, lane)) * asFloat(src(1, lane)) +
-                       asFloat(src(2, lane)));
-            break;
-          case Opcode::Shl:
-            v = src(0, lane) << (src(1, lane) & 31);
-            break;
-          case Opcode::Shr:
-            v = src(0, lane) >> (src(1, lane) & 31);
-            break;
-          case Opcode::And:
-            v = src(0, lane) & src(1, lane);
-            break;
-          case Opcode::Or:
-            v = src(0, lane) | src(1, lane);
-            break;
-          case Opcode::Xor:
-            v = src(0, lane) ^ src(1, lane);
-            break;
-          case Opcode::IMin:
-            v = static_cast<std::uint32_t>(
-                std::min(static_cast<std::int32_t>(src(0, lane)),
-                         static_cast<std::int32_t>(src(1, lane))));
-            break;
-          case Opcode::IMax:
-            v = static_cast<std::uint32_t>(
-                std::max(static_cast<std::int32_t>(src(0, lane)),
-                         static_cast<std::int32_t>(src(1, lane))));
-            break;
-          case Opcode::SetLt:
-            v = static_cast<std::int32_t>(src(0, lane)) <
-                static_cast<std::int32_t>(src(1, lane));
-            break;
-          case Opcode::SetGe:
-            v = static_cast<std::int32_t>(src(0, lane)) >=
-                static_cast<std::int32_t>(src(1, lane));
-            break;
-          case Opcode::SetEq:
-            v = src(0, lane) == src(1, lane);
-            break;
-          case Opcode::SetNe:
-            v = src(0, lane) != src(1, lane);
-            break;
-          case Opcode::Selp:
-            v = src(2, lane) ? src(0, lane) : src(1, lane);
-            break;
-          case Opcode::Rcp: {
-            float f = asFloat(src(0, lane));
-            v = asBits(f == 0.0f ? 0.0f : 1.0f / f);
-            break;
-          }
-          case Opcode::Sqrt: {
-            float f = asFloat(src(0, lane));
-            v = asBits(f < 0.0f ? 0.0f : std::sqrt(f));
-            break;
-          }
-          default:
-            panic("Instruction::evaluate on non-ALU opcode ",
-                  opcodeName(_op));
-        }
-        out[lane] = v;
-    }
-    return out;
+    std::array<const LaneValues *, 3> ptrs{};
+    const std::size_t count = std::min(srcs.size(), ptrs.size());
+    for (std::size_t i = 0; i < count; ++i)
+        ptrs[i] = &srcs[i];
+    return evaluate(ptrs.data(), count);
 }
 
 std::string

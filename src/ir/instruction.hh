@@ -121,15 +121,24 @@ class Instruction
      * Memory and control instructions must not be passed here; their
      * effects are applied by the SM pipeline.
      *
-     * @param srcs Source operand values, one entry per source register.
+     * @param srcs Source operand values, one pointer per source
+     *        register; throws std::out_of_range when @a count is
+     *        fewer than the opcode reads.
      * @return Destination lane values.
      */
+    LaneValues evaluate(const LaneValues *const *srcs,
+                        std::size_t count) const;
+
+    /** evaluate() over values held in a vector (tests). */
     LaneValues evaluate(const std::vector<LaneValues> &srcs) const;
 
     /** Render as "iadd r1, r2, r3"-style text for debugging. */
     std::string toString() const;
 
   private:
+    /** Source operands an ALU/SFU opcode reads (panics otherwise). */
+    unsigned aluSrcCount() const;
+
     Opcode _op = Opcode::Nop;
     RegId _dst = invalidReg;
     std::vector<RegId> _srcs;

@@ -8,8 +8,7 @@
 #ifndef REGLESS_REGFILE_BASELINE_RF_HH
 #define REGLESS_REGFILE_BASELINE_RF_HH
 
-#include <set>
-#include <utility>
+#include <vector>
 
 #include "regfile/register_provider.hh"
 
@@ -55,7 +54,19 @@ class BaselineRf : public RegisterProvider
     unsigned _numBanks;
     Cycle _collectorPenalty;
     Cycle _windowStart = 0;
-    std::set<std::pair<WarpId, RegId>> _windowRegs;
+    /** Mark (warp, reg) as touched in the current window. */
+    void touch(WarpId warp, RegId reg);
+    /** Forget the current window's registers. */
+    void clearWindow();
+
+    /**
+     * The current window's working set: a (warp, reg) bitmap, grown
+     * to the largest ids seen (a few KB), and its count of set bits.
+     */
+    std::vector<bool> _windowBits;
+    std::size_t _windowWarps = 0;
+    std::size_t _windowStride = 0;
+    std::size_t _windowRegs = 0;
     Distribution _workingSet;
     WindowedSeries _accessSeries;
     Counter &_reads;

@@ -47,6 +47,7 @@ CapacityManager::CapacityManager(std::string name,
       _l1StoreReqs(_stats.counter("l1_store_reqs")),
       _l1InvalidateReqs(_stats.counter("l1_invalidate_reqs")),
       _activationBlocked(_stats.counter("activation_blocked_cycles")),
+      _activationRetries(_stats.counter("activation_retries")),
       _metadataInsns(_stats.counter("metadata_insns")),
       _gatedBankCycles(_stats.counter("gated_bank_cycles"))
 {
@@ -86,6 +87,7 @@ CapacityManager::setState(WarpCtx &wc, WarpId warp, CmState state,
     const CmState old = wc.state;
     wc.state = state;
     wc.blockCause = cause;
+    ++_version;
     if (_wakeList)
         _wakeList->push_back(warp);
     if (old == state)
@@ -103,6 +105,13 @@ CapacityManager::setState(WarpCtx &wc, WarpId warp, CmState state,
                 _drainEnd = std::min(_drainEnd, _ctx[w].drainUntil);
         }
     }
+}
+
+void
+CapacityManager::reserve(unsigned bank, int lines)
+{
+    _reservedFuture[bank] += lines;
+    ++_version;
 }
 
 Addr
@@ -164,7 +173,7 @@ CapacityManager::allocateLine(WarpCtx &wc, WarpId warp, RegId reg,
     handleReclaim(reclaim, now);
     if (wc.budget[bank] > 0) {
         --wc.budget[bank];
-        --_reservedFuture[bank];
+        reserve(bank, -1);
     }
 }
 
@@ -179,7 +188,7 @@ CapacityManager::creditLine(WarpCtx &wc, WarpId warp, RegId reg)
     // only together with the matching reservation.
     unsigned bank = OperandStagingUnit::bankOf(warp, reg);
     ++wc.budget[bank];
-    ++_reservedFuture[bank];
+    reserve(bank, 1);
 }
 
 void
@@ -241,7 +250,7 @@ CapacityManager::processPreloads(WarpCtx &wc, WarpId warp, Cycle now,
             _osu.claim(warp, preload.reg);
             if (wc.budget[bank] > 0) {
                 --wc.budget[bank];
-                --_reservedFuture[bank];
+                reserve(bank, -1);
             }
             ++_preloadSrcOsu;
             bank_busy[bank] = true;
@@ -356,7 +365,7 @@ CapacityManager::finishDrain(WarpCtx &wc, WarpId warp, Cycle now)
     // peak-live estimate is an upper bound on distinct allocations).
     for (unsigned b = 0; b < osuBanks; ++b) {
         if (wc.budget[b] > 0) {
-            _reservedFuture[b] -= wc.budget[b];
+            reserve(b, -wc.budget[b]);
             wc.budget[b] = 0;
         }
     }
@@ -371,6 +380,7 @@ CapacityManager::finishDrain(WarpCtx &wc, WarpId warp, Cycle now)
         _stack.push_back(warp);
     else
         _stack.push_front(warp);
+    ++_version;
 }
 
 void
@@ -380,6 +390,15 @@ CapacityManager::tryActivate(Cycle now)
         panic("CapacityManager warp source not bound");
     if (_suspended)
         return; // region-boundary preemption: no new activations
+    if (_blockedAttempt && _blockedAttempt->cmVersion == _version &&
+        _blockedAttempt->osuVersion == _osu.version()) {
+        // Nothing the capacity-blocked attempt read has changed: it
+        // would block again on the same stack top.
+        ++_activationBlocked;
+        _activationWasBlocked = true;
+        return;
+    }
+    _blockedAttempt.reset();
     while (_preloading < _cfg.preloadSlotsPerShard && !_stack.empty()) {
         // Top-of-stack activation; warps parked at a barrier are
         // skipped so they cannot hoard staging space.
@@ -418,6 +437,7 @@ CapacityManager::tryActivate(Cycle now)
         // Erasing a stale output turns an evictable line into a free
         // one, so it does not change availability either; the plain
         // need is the whole requirement.
+        ++_activationRetries;
         bool fits = true;
         for (unsigned b = 0; b < osuBanks; ++b) {
             auto c = _osu.bankCounts(b);
@@ -432,6 +452,12 @@ CapacityManager::tryActivate(Cycle now)
             ++_activationBlocked;
             _activationWasBlocked = true;
             setState(wc, warp, wc.state, arch::StallCause::CmNoCapacity);
+            // With the pick on top, no barrier-parked warp sits above
+            // it, and the pick itself (Inactive, so unable to issue)
+            // keeps its status and PC: only the CM's own state or the
+            // OSU's counts can change the answer.
+            if (pick == _stack.begin())
+                _blockedAttempt = BlockedAttempt{_version, _osu.version()};
             return;
         }
         // Multi-tenant admission: the shared physical pool may refuse
@@ -493,6 +519,7 @@ CapacityManager::tryActivate(Cycle now)
         // are fetched and decoded as the region enters the pipeline.
         _metadataInsns += region.metadataInsns;
         _stack.erase(pick);
+        ++_version;
         wc.region = rid;
         wc.preloadReady = now;
         wc.drainUntil = 0;
@@ -502,7 +529,7 @@ CapacityManager::tryActivate(Cycle now)
                              static_cast<int>(pinned_in[b]);
             needed_new = std::max(needed_new, 0);
             wc.budget[b] = needed_new;
-            _reservedFuture[b] += needed_new;
+            reserve(b, needed_new);
         }
         for (RegId reg : pinned) {
             _osu.countTagLookup();
@@ -549,7 +576,7 @@ CapacityManager::tick(Cycle now)
     // the forward-progress watchdog must catch.
     if (_faults && _faults->fire(FaultPlan::Kind::LeakOsuSlot, now)) {
         for (unsigned b = 0; b < osuBanks; ++b)
-            _reservedFuture[b] += static_cast<int>(_osu.linesPerBank());
+            reserve(b, static_cast<int>(_osu.linesPerBank()));
     }
 
     if (_compressor)
@@ -693,7 +720,7 @@ CapacityManager::onIssue(const arch::Warp &warp, Pc pc,
             unsigned bank = OperandStagingUnit::bankOf(warp.id(), dst);
             if (wc.budget[bank] > 0) {
                 --wc.budget[bank];
-                --_reservedFuture[bank];
+                reserve(bank, -1);
             }
         } else if (_osu.present(warp.id(), dst)) {
             _osu.recordWrite(warp.id(), dst);
@@ -741,7 +768,7 @@ CapacityManager::onIssue(const arch::Warp &warp, Pc pc,
     if (pc == region.endPc) {
         for (unsigned b = 0; b < osuBanks; ++b) {
             if (wc.budget[b] > 0) {
-                _reservedFuture[b] -= wc.budget[b];
+                reserve(b, -wc.budget[b]);
                 wc.budget[b] = 0;
             }
         }
@@ -756,6 +783,7 @@ CapacityManager::requestSuspend()
 {
     _suspended = true;
     _gateBlocked = false; // no more activation attempts to unblock
+    ++_version;
 }
 
 bool
@@ -827,6 +855,7 @@ CapacityManager::resume()
     // Warps stayed on the activation stack throughout the suspension;
     // their next activation re-preloads from the backing path.
     _suspended = false;
+    ++_version;
 }
 
 std::uint64_t
@@ -861,7 +890,7 @@ CapacityManager::onWarpFinished(const arch::Warp &warp, Cycle now)
     wc.deferredEvict.clear();
     for (unsigned b = 0; b < osuBanks; ++b) {
         if (wc.budget[b] > 0) {
-            _reservedFuture[b] -= wc.budget[b];
+            reserve(b, -wc.budget[b]);
             wc.budget[b] = 0;
         }
     }
@@ -877,6 +906,7 @@ CapacityManager::onWarpFinished(const arch::Warp &warp, Cycle now)
         else
             ++it;
     }
+    ++_version;
 }
 
 } // namespace regless::staging

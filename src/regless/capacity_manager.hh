@@ -16,6 +16,7 @@
 
 #include <deque>
 #include <functional>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -301,6 +302,9 @@ class CapacityManager
     void setState(WarpCtx &wc, WarpId warp, CmState state,
                   arch::StallCause cause);
 
+    /** Add @a lines to bank @a bank's outstanding reservations. */
+    void reserve(unsigned bank, int lines);
+
     std::vector<WarpId> _shardWarps;
     const compiler::CompiledKernel &_ck;
     OperandStagingUnit &_osu;
@@ -329,6 +333,22 @@ class CapacityManager
     std::vector<std::uint8_t> _supervised;
     /** Did the last tick charge a blocked activation? (skip replay) */
     bool _activationWasBlocked = false;
+    /**
+     * Bumped by every change to what an activation attempt reads
+     * besides the OSU's counts: _reservedFuture, _stack, a warp's
+     * state or blockCause (hence _preloading), suspend and resume.
+     */
+    std::uint64_t _version = 0;
+    /** The versions a capacity-blocked attempt on the stack top saw. */
+    struct BlockedAttempt
+    {
+        std::uint64_t cmVersion;
+        std::uint64_t osuVersion;
+    };
+    /** The last capacity-blocked attempt whose pick was the stack
+     *  top; its answer holds while neither version has moved
+     *  (DESIGN.md §12). */
+    std::optional<BlockedAttempt> _blockedAttempt;
     /**
      * Last activation attempt was refused by the admission gate. The
      * gate's answer depends on *other* tenants' usage, invisible to
@@ -363,6 +383,8 @@ class CapacityManager
     Counter &_l1StoreReqs;
     Counter &_l1InvalidateReqs;
     Counter &_activationBlocked;
+    /** Work counter: activation fit checks actually evaluated. */
+    Counter &_activationRetries;
     Counter &_metadataInsns;
     Counter &_gatedBankCycles;
 };

@@ -26,12 +26,6 @@ OperandStagingUnit::OperandStagingUnit(std::string name,
         counts.free = _linesPerBank;
 }
 
-OperandStagingUnit::BankCounts
-OperandStagingUnit::bankCounts(unsigned bank) const
-{
-    return _counts.at(bank);
-}
-
 bool
 OperandStagingUnit::present(WarpId warp, RegId reg) const
 {
@@ -72,6 +66,7 @@ OperandStagingUnit::claim(WarpId warp, RegId reg)
     entry.state = LineState::Owned;
     entry.lruStamp = ++_lruCounter;
     ++_counts[b].owned;
+    ++_version;
 }
 
 OperandStagingUnit::Reclaim
@@ -139,6 +134,7 @@ OperandStagingUnit::allocate(WarpId warp, RegId reg, bool dirty)
     bank.emplace(key(warp, reg), entry);
     ++_counts[b].owned;
     ++_occupied;
+    ++_version;
     if (reclaim.needed) {
         // The freed line was consumed by this allocation; the free
         // count is unchanged (victim out, new entry in).
@@ -167,6 +163,7 @@ OperandStagingUnit::erase(WarpId warp, RegId reg)
     ++_counts[b].free;
     _banks[b].erase(it);
     --_occupied;
+    ++_version;
 }
 
 void
@@ -188,6 +185,7 @@ OperandStagingUnit::markEvictable(WarpId warp, RegId reg)
         ++_counts[b].clean;
     }
     entry.lruStamp = ++_lruCounter;
+    ++_version;
 }
 
 void
@@ -234,6 +232,7 @@ OperandStagingUnit::dropWarp(WarpId warp)
                 ++_counts[b].free;
                 it = bank.erase(it);
                 --_occupied;
+                ++_version;
             } else {
                 ++it;
             }

@@ -76,7 +76,14 @@ class OperandStagingUnit
 
     unsigned linesPerBank() const { return _linesPerBank; }
 
-    BankCounts bankCounts(unsigned bank) const;
+    BankCounts bankCounts(unsigned bank) const { return _counts.at(bank); }
+
+    /**
+     * Bumped by every change to any bank's counts, so a caller that
+     * cached a decision made from bankCounts() can tell whether it
+     * still holds.
+     */
+    std::uint64_t version() const { return _version; }
 
     /** @return true when (warp, reg) is resident in any state. */
     bool present(WarpId warp, RegId reg) const;
@@ -155,6 +162,7 @@ class OperandStagingUnit
     std::array<std::unordered_map<std::uint32_t, Entry>, osuBanks> _banks;
     std::array<BankCounts, osuBanks> _counts;
     std::uint64_t _lruCounter = 0;
+    std::uint64_t _version = 0;
     unsigned _occupied = 0;
     StatGroup _stats;
     Counter &_reads;

@@ -53,10 +53,16 @@ ExperimentEngine::jobFingerprint(const SimJob &job)
 std::string
 ExperimentEngine::cacheFileName(const SimJob &job)
 {
+    return cacheFileName(job, jobFingerprint(job));
+}
+
+std::string
+ExperimentEngine::cacheFileName(const SimJob &job, std::uint64_t fingerprint)
+{
     std::ostringstream oss;
     oss << sanitize(job.kernel) << "-"
         << providerName(job.config.provider) << "-" << job.sms << "sm-"
-        << std::hex << jobFingerprint(job) << ".json";
+        << std::hex << fingerprint << ".json";
     return oss.str();
 }
 
@@ -103,12 +109,13 @@ ExperimentEngine::submit(const SimJob &job)
     // entries simulated under different budgets never share a key.
     if (_options.maxCycles)
         effective.config.sm.maxCycles = _options.maxCycles;
-    const std::string key = cacheFileName(effective);
-    auto [it, inserted] = _index.try_emplace(key, _entries.size());
+    // The fingerprint renders the whole config: compute it once.
+    const std::uint64_t fp = jobFingerprint(effective);
+    auto [it, inserted] = _index.try_emplace(cacheFileName(effective, fp),
+                                             _entries.size());
     if (inserted) {
-        const std::uint64_t fp = jobFingerprint(effective);
         _entries.push_back(
-            Entry{std::move(effective), fp, JobResult{}, false});
+            Entry{std::move(effective), fp, &it->first, JobResult{}, false});
     }
     return it->second;
 }
@@ -243,8 +250,7 @@ ExperimentEngine::loadFromCache(Entry &entry)
         return false;
     JobRecord record;
     if (!_cache.load(
-            JobCache::Key{cacheFileName(entry.job), entry.fingerprint},
-            record))
+            JobCache::Key{*entry.fileName, entry.fingerprint}, record))
         return false;
     // Entries are keyed by fingerprint, so a provider mismatch means
     // the file was tampered with or collided; a Skipped record can
@@ -277,8 +283,7 @@ ExperimentEngine::storeToCache(const Entry &entry)
     record.deadlock = entry.result.deadlock;
     record.attempts = entry.result.attempts;
     _cache.store(
-        JobCache::Key{cacheFileName(entry.job), entry.fingerprint},
-        record);
+        JobCache::Key{*entry.fileName, entry.fingerprint}, record);
 }
 
 void

@@ -249,10 +249,16 @@ class ExperimentEngine
     {
         SimJob job;
         std::uint64_t fingerprint = 0;
+        /** cacheFileName(job): this entry's key in _index (node keys
+         *  stay put). */
+        const std::string *fileName = nullptr;
         JobResult result;
         bool done = false;
     };
 
+    /** cacheFileName() of a job whose fingerprint is known. */
+    static std::string cacheFileName(const SimJob &job,
+                                     std::uint64_t fingerprint);
     bool loadFromCache(Entry &entry);
     void storeToCache(const Entry &entry);
     static RunStats execute(const SimJob &job, double timeout_sec);

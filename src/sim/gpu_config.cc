@@ -1,9 +1,10 @@
 #include "sim/gpu_config.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdio>
 #include <limits>
-#include <sstream>
-#include <type_traits>
+#include <string_view>
 
 #include "common/logging.hh"
 
@@ -36,39 +37,60 @@ GpuConfig::setOsuCapacity(unsigned entries)
 namespace
 {
 
-/**
- * Collects "prefix.field=value" pairs. Numbers are rendered at full
- * precision so any representable change to a field changes the dump.
- */
-class KeyValueSink
+/** Renders each field as a "key=value\n" line of canonical text. */
+class TextSink : public ConfigFieldSink
 {
   public:
-    explicit KeyValueSink(
-        std::vector<std::pair<std::string, std::string>> &out)
-        : _out(out)
+    explicit TextSink(std::string &out) : _out(out) {}
+
+  protected:
+    void addBool(const std::string &key, bool value) override
     {
+        line(key, value ? "1" : "0");
+    }
+    void addSigned(const std::string &key, long long value) override
+    {
+        integer(key, value);
+    }
+    void addUnsigned(const std::string &key,
+                     unsigned long long value) override
+    {
+        integer(key, value);
+    }
+    void addDouble(const std::string &key, double value) override
+    {
+        // What a stream at max_digits10 precision prints.
+        char buf[32];
+        const int len =
+            std::snprintf(buf, sizeof(buf), "%.*g",
+                          std::numeric_limits<double>::max_digits10, value);
+        line(key, std::string_view(buf, static_cast<std::size_t>(len)));
+    }
+    void addText(const std::string &key, const std::string &value) override
+    {
+        line(key, value);
+    }
+
+  private:
+    void
+    line(const std::string &key, std::string_view value)
+    {
+        _out += key;
+        _out += '=';
+        _out += value;
+        _out += '\n';
     }
 
     template <typename T>
     void
-    add(const std::string &key, T value)
+    integer(const std::string &key, T value)
     {
-        std::ostringstream oss;
-        if constexpr (std::is_same_v<T, bool>) {
-            oss << (value ? 1 : 0);
-        } else if constexpr (std::is_enum_v<T>) {
-            oss << static_cast<long long>(value);
-        } else if constexpr (std::is_floating_point_v<T>) {
-            oss.precision(std::numeric_limits<T>::max_digits10);
-            oss << value;
-        } else {
-            oss << value;
-        }
-        _out.emplace_back(key, oss.str());
+        char buf[24];
+        const auto res = std::to_chars(buf, buf + sizeof(buf), value);
+        line(key, std::string_view(buf, res.ptr - buf));
     }
 
-  private:
-    std::vector<std::pair<std::string, std::string>> &_out;
+    std::string &_out;
 };
 
 /*
@@ -80,7 +102,7 @@ class KeyValueSink
  */
 
 void
-dump(KeyValueSink &kv, const std::string &p,
+dump(ConfigFieldSink &kv, const std::string &p,
      const arch::ExecLatencies &c)
 {
     const auto &[alu, sfu, shared_mem, control] = c;
@@ -91,7 +113,7 @@ dump(KeyValueSink &kv, const std::string &p,
 }
 
 void
-dump(KeyValueSink &kv, const std::string &p, const arch::SmConfig &c)
+dump(ConfigFieldSink &kv, const std::string &p, const arch::SmConfig &c)
 {
     const auto &[num_warps, num_schedulers, issue_width, scheduler,
                  latencies, max_cycles, watchdog_window, data_base,
@@ -112,7 +134,7 @@ dump(KeyValueSink &kv, const std::string &p, const arch::SmConfig &c)
 }
 
 void
-dump(KeyValueSink &kv, const std::string &p, const mem::CacheConfig &c)
+dump(ConfigFieldSink &kv, const std::string &p, const mem::CacheConfig &c)
 {
     const auto &[size_bytes, ways, mshrs, write_back, write_allocate] =
         c;
@@ -124,7 +146,7 @@ dump(KeyValueSink &kv, const std::string &p, const mem::CacheConfig &c)
 }
 
 void
-dump(KeyValueSink &kv, const std::string &p, const mem::DramConfig &c)
+dump(ConfigFieldSink &kv, const std::string &p, const mem::DramConfig &c)
 {
     const auto &[channels, cycles_per_line, access_latency,
                  bandwidth_share] = c;
@@ -135,7 +157,7 @@ dump(KeyValueSink &kv, const std::string &p, const mem::DramConfig &c)
 }
 
 void
-dump(KeyValueSink &kv, const std::string &p, const mem::MemConfig &c)
+dump(ConfigFieldSink &kv, const std::string &p, const mem::MemConfig &c)
 {
     const auto &[l1, l2, dram, l1_latency, l2_latency,
                  l2_cycles_per_line, bypass_l1_data] = c;
@@ -149,7 +171,7 @@ dump(KeyValueSink &kv, const std::string &p, const mem::MemConfig &c)
 }
 
 void
-dump(KeyValueSink &kv, const std::string &p,
+dump(ConfigFieldSink &kv, const std::string &p,
      const compiler::CompilerConfig &c)
 {
     const auto &[max_regs_per_region, max_regs_per_bank,
@@ -162,7 +184,7 @@ dump(KeyValueSink &kv, const std::string &p,
 }
 
 void
-dump(KeyValueSink &kv, const std::string &p,
+dump(ConfigFieldSink &kv, const std::string &p,
      const staging::CompressorConfig &c)
 {
     const auto &[cache_lines, regs_per_line, hit_latency,
@@ -175,7 +197,7 @@ dump(KeyValueSink &kv, const std::string &p,
 }
 
 void
-dump(KeyValueSink &kv, const std::string &p,
+dump(ConfigFieldSink &kv, const std::string &p,
      const staging::ReglessConfig &c)
 {
     const auto &[osu_entries, num_shards, preload_slots,
@@ -197,7 +219,7 @@ dump(KeyValueSink &kv, const std::string &p,
 }
 
 void
-dump(KeyValueSink &kv, const std::string &p,
+dump(ConfigFieldSink &kv, const std::string &p,
      const energy::EnergyConfig &c)
 {
     const auto &[rf_access_2048, capacity_exponent, tag_access,
@@ -225,7 +247,7 @@ dump(KeyValueSink &kv, const std::string &p,
 }
 
 void
-dump(KeyValueSink &kv, const std::string &p,
+dump(ConfigFieldSink &kv, const std::string &p,
      const energy::AreaConfig &c)
 {
     const auto &[storage_fraction, logic_fraction, logic_exponent,
@@ -238,7 +260,7 @@ dump(KeyValueSink &kv, const std::string &p,
 }
 
 void
-dump(KeyValueSink &kv, const std::string &p, const FaultPlan &c)
+dump(ConfigFieldSink &kv, const std::string &p, const FaultPlan &c)
 {
     const auto &[kind, trigger_cycle, transient] = c;
     kv.add(p + "kind", std::string(faultKindName(kind)));
@@ -247,7 +269,7 @@ dump(KeyValueSink &kv, const std::string &p, const FaultPlan &c)
 }
 
 void
-dump(KeyValueSink &kv, const std::string &p, const TraceConfig &c)
+dump(ConfigFieldSink &kv, const std::string &p, const TraceConfig &c)
 {
     const auto &[enabled, path] = c;
     kv.add(p + "enabled", enabled);
@@ -255,7 +277,7 @@ dump(KeyValueSink &kv, const std::string &p, const TraceConfig &c)
 }
 
 void
-dump(KeyValueSink &kv, const std::string &p, const TenantConfig &c)
+dump(ConfigFieldSink &kv, const std::string &p, const TenantConfig &c)
 {
     const auto &[workloads, policy, quota_lines, reserve_frac,
                  qos_preemption, qos_interval, qos_share, data_stride,
@@ -279,7 +301,7 @@ dump(KeyValueSink &kv, const std::string &p, const TenantConfig &c)
 }
 
 void
-dump(KeyValueSink &kv, const std::string &p,
+dump(ConfigFieldSink &kv, const std::string &p,
      const regfile::RfHierarchy::Params &c)
 {
     const auto &[lrf_max_distance, orf_max_distance,
@@ -290,7 +312,7 @@ dump(KeyValueSink &kv, const std::string &p,
 }
 
 void
-dump(KeyValueSink &kv, const std::string &p,
+dump(ConfigFieldSink &kv, const std::string &p,
      const regfile::CompilerRfCache::Params &c)
 {
     const auto &[cache_entries_per_warp, miss_penalty,
@@ -301,7 +323,7 @@ dump(KeyValueSink &kv, const std::string &p,
 }
 
 void
-dump(KeyValueSink &kv, const std::string &p,
+dump(ConfigFieldSink &kv, const std::string &p,
      const regfile::RegDemProvider::Params &c)
 {
     const auto &[hot_regs_per_warp, spill_base] = c;
@@ -311,16 +333,14 @@ dump(KeyValueSink &kv, const std::string &p,
 
 } // namespace
 
-std::vector<std::pair<std::string, std::string>>
-configKeyValues(const GpuConfig &config)
+void
+visitConfigFields(const GpuConfig &config, ConfigFieldSink &kv)
 {
     const auto &[provider, sm, mem, compiler_cfg, regless, energy,
                  area, baseline_rf_entries, limit_occupancy_by_rf,
                  rfv_phys_entries, rfh, rf_cache, regdem, faults,
                  trace, tenants] = config;
 
-    std::vector<std::pair<std::string, std::string>> out;
-    KeyValueSink kv(out);
     kv.add("provider", std::string(providerName(provider)));
     dump(kv, "sm.", sm);
     dump(kv, "mem.", mem);
@@ -337,35 +357,23 @@ configKeyValues(const GpuConfig &config)
     dump(kv, "faults.", faults);
     dump(kv, "trace.", trace);
     dump(kv, "tenants.", tenants);
-    return out;
 }
 
 std::string
 configCanonicalText(const GpuConfig &config)
 {
     std::string text;
-    for (const auto &[key, value] : configKeyValues(config)) {
-        text += key;
-        text += '=';
-        text += value;
-        text += '\n';
-    }
+    TextSink sink(text);
+    visitConfigFields(config, sink);
     return text;
 }
 
 std::string
 compilerConfigText(const compiler::CompilerConfig &config)
 {
-    std::vector<std::pair<std::string, std::string>> pairs;
-    KeyValueSink kv(pairs);
-    dump(kv, "compiler.", config);
     std::string text;
-    for (const auto &[key, value] : pairs) {
-        text += key;
-        text += '=';
-        text += value;
-        text += '\n';
-    }
+    TextSink sink(text);
+    dump(sink, "compiler.", config);
     return text;
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -189,18 +190,65 @@ struct GpuConfig
 };
 
 /**
- * Canonical key/value dump of every field of @a config and its
- * sub-configs, in a fixed order with full-precision numbers. Two
- * configs produce the same dump iff every field compares equal, so
- * the dump (and the fingerprint derived from it) is a valid cache
- * key. The implementation destructures each struct with structured
- * bindings, so adding a field anywhere breaks the build until the
- * dump learns about it — new fields cannot silently escape.
+ * Receives every field of a config as a typed "prefix.field" value.
+ * add() sorts a value into one of the typed hooks, so a renderer only
+ * decides how each kind of value reads.
  */
-std::vector<std::pair<std::string, std::string>>
-configKeyValues(const GpuConfig &config);
+class ConfigFieldSink
+{
+  public:
+    virtual ~ConfigFieldSink() = default;
 
-/** The dump as one "key=value\n" text block (cache-key material). */
+    template <typename T>
+    void
+    add(const std::string &key, const T &value)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            addBool(key, value);
+        } else if constexpr (std::is_enum_v<T>) {
+            addSigned(key, static_cast<long long>(value));
+        } else if constexpr (std::is_floating_point_v<T>) {
+            // A float would print at its own max_digits10.
+            static_assert(std::is_same_v<T, double>, "non-double field");
+            addDouble(key, value);
+        } else if constexpr (std::is_integral_v<T>) {
+            // A stream prints a char-sized integer as a character.
+            static_assert(sizeof(T) > 1, "char-sized config field");
+            if constexpr (std::is_signed_v<T>)
+                addSigned(key, value);
+            else
+                addUnsigned(key, value);
+        } else {
+            addText(key, value);
+        }
+    }
+
+  protected:
+    virtual void addBool(const std::string &key, bool value) = 0;
+    virtual void addSigned(const std::string &key, long long value) = 0;
+    virtual void addUnsigned(const std::string &key,
+                             unsigned long long value) = 0;
+    virtual void addDouble(const std::string &key, double value) = 0;
+    virtual void addText(const std::string &key,
+                         const std::string &value) = 0;
+};
+
+/**
+ * Feed every field of @a config and its sub-configs to @a sink, in a
+ * fixed order. The implementation destructures each struct with
+ * structured bindings, so adding a field anywhere breaks the build
+ * until the visit covers it — new fields cannot silently escape.
+ */
+void visitConfigFields(const GpuConfig &config, ConfigFieldSink &sink);
+
+/**
+ * The visit as one "key=value\n" text block (cache-key material):
+ * bools as 0/1, enums as their integer value, and doubles as "%.17g"
+ * (max_digits10, what a stream at that precision prints), so any
+ * representable change to a field changes the text. Two configs
+ * produce the same text iff every field compares equal, so the text
+ * (and the fingerprint derived from it) is a valid cache key.
+ */
 std::string configCanonicalText(const GpuConfig &config);
 
 /**

@@ -9,7 +9,10 @@
  *
  * Cases: hotspot under the baseline and RegLess; hotspot under RegLess
  * with a 128-line OSU (activations blocked on capacity charge
- * cm_no_capacity); and backprop co-run with hotspot under
+ * cm_no_capacity); hotspot and backprop under RegLess with a 64-line
+ * OSU, where activations block so often that most retries of a
+ * blocked activation find nothing changed; and backprop co-run with
+ * hotspot under
  * PriorityReserve plus QoS preemption, which suspends hotspot's tenant
  * several times.
  *
@@ -71,6 +74,11 @@ main()
     GpuConfig small = GpuConfig::forProvider(ProviderKind::Regless);
     small.setOsuCapacity(128);
     printRows("hotspot regless osu=128", {"hotspot"}, small);
+
+    GpuConfig tiny = GpuConfig::forProvider(ProviderKind::Regless);
+    tiny.setOsuCapacity(64);
+    printRows("hotspot regless osu=64", {"hotspot"}, tiny);
+    printRows("backprop regless osu=64", {"backprop"}, tiny);
 
     GpuConfig qos = GpuConfig::forProvider(ProviderKind::Regless);
     qos.tenants.workloads = {{"backprop", 1}, {"hotspot", 0}};

@@ -318,6 +318,9 @@ TEST(SchedulerTest, TwoLevelRingsMatchDequeReference)
     // the group size, and promotion delays with and without refill
     // waits. Notifies name active, pending and foreign warps, and
     // repeat warps the way finished warps are notified every cycle.
+    // A third scheduler hears only the notifies its demotableMask()
+    // admits at the moment of the call, as the SM sends them: it must
+    // pick and pool exactly like the two that hear everything.
     std::mt19937 rng(1411); // fixed seed
     for (unsigned trial = 0; trial < 200; ++trial) {
         const unsigned n = 1 + rng() % 20;
@@ -329,7 +332,10 @@ TEST(SchedulerTest, TwoLevelRingsMatchDequeReference)
         const unsigned active = 1 + rng() % 6;
         const unsigned delay = rng() % 4 == 0 ? 0 : rng() % 8;
         arch::TwoLevelScheduler rings(ids, active, delay);
+        arch::TwoLevelScheduler masked(ids, active, delay);
         DequeTwoLevel reference(ids, active, delay);
+        const std::uint64_t *mask = masked.demotableMask();
+        ASSERT_NE(mask, nullptr);
         for (unsigned cycle = 0; cycle < 300; ++cycle) {
             const unsigned notifies = rng() % 4;
             for (unsigned k = 0; k < notifies; ++k) {
@@ -339,13 +345,32 @@ TEST(SchedulerTest, TwoLevelRingsMatchDequeReference)
                                              : ids[rng() % n];
                 rings.notifyLongStall(w);
                 reference.notifyLongStall(w);
+                // Foreign ids are never in the mask.
+                const auto pos = static_cast<unsigned>(
+                    std::find(ids.begin(), ids.end(), w) - ids.begin());
+                if (pos < n && (mask[pos / 64] >> (pos % 64) & 1))
+                    masked.notifyLongStall(w);
+            }
+            // The mask is the active pool, or empty with none pending.
+            const std::vector<unsigned> pool = masked.activePool();
+            for (unsigned i = 0; i < n; ++i) {
+                const bool in_pool =
+                    std::find(pool.begin(), pool.end(), i) != pool.end();
+                ASSERT_EQ(mask[i / 64] >> (i % 64) & 1,
+                          in_pool && n > active ? 1u : 0u)
+                    << "trial " << trial << " cycle " << cycle;
             }
             std::vector<bool> eligible(n);
             for (unsigned i = 0; i < n; ++i)
                 eligible[i] = rng() % 3 != 0;
-            ASSERT_EQ(rings.pick(eligible), reference.pick(eligible))
+            const int pick = reference.pick(eligible);
+            ASSERT_EQ(rings.pick(eligible), pick)
+                << "trial " << trial << " cycle " << cycle;
+            ASSERT_EQ(masked.pick(eligible), pick)
                 << "trial " << trial << " cycle " << cycle;
             ASSERT_EQ(rings.activePool(), reference.activePool())
+                << "trial " << trial << " cycle " << cycle;
+            ASSERT_EQ(masked.activePool(), reference.activePool())
                 << "trial " << trial << " cycle " << cycle;
         }
     }

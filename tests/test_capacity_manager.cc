@@ -269,6 +269,33 @@ TEST(CmStateTest, MetadataCountedPerActivation)
     EXPECT_GE(meta, activations); // >= 1 metadata insn per region
 }
 
+TEST(CmStateTest, BlockedActivationRetriesWhenOsuLinesFree)
+{
+    // Fill every line of shard 0's OSU from outside its CM: the CM's
+    // activations block on capacity, cycle after cycle. Freeing the
+    // lines changes only the OSU's counts, none of the CM's own state,
+    // and the next tick must activate all the same.
+    CmRun run(twoRegionKernel());
+    staging::OperandStagingUnit &osu = run.provider.osu(0);
+    staging::CapacityManager &cm = run.provider.cm(0);
+    const WarpId outsider = 1000;
+    const auto lines = static_cast<RegId>(osu.linesPerBank() * osuBanks);
+    for (RegId reg = 0; reg < lines; ++reg)
+        osu.allocate(outsider, reg, /*dirty=*/false);
+    Counter &blocked = cm.stats().counter("activation_blocked_cycles");
+    for (int i = 0; i < 20; ++i)
+        run.sm.step();
+    EXPECT_EQ(cm.activations(), 0u);
+    EXPECT_EQ(blocked.value(), 20u);
+    EXPECT_EQ(cm.state(0), CmState::Inactive);
+
+    for (RegId reg = 0; reg < lines; ++reg)
+        osu.erase(outsider, reg);
+    run.sm.step();
+    EXPECT_EQ(blocked.value(), 20u);
+    EXPECT_NE(cm.state(0), CmState::Inactive);
+}
+
 TEST(OccupancyTest, ResidencyLimitsBaselineButNotRegless)
 {
     // ~40 names per warp -> a 256-entry RF fits few warps.

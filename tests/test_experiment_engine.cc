@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -51,6 +52,101 @@ freshCacheDir(const std::string &name)
         ("regless-engine-" + name);
     std::filesystem::remove_all(dir);
     return dir;
+}
+
+/**
+ * The canonical text as one std::ostringstream per field rendered it
+ * before the text was written with std::to_chars and snprintf: the
+ * reference the cache keys of existing caches were made with.
+ */
+class StreamSink : public sim::ConfigFieldSink
+{
+  public:
+    std::string text;
+
+  protected:
+    void addBool(const std::string &key, bool value) override
+    {
+        put(key, value ? 1 : 0);
+    }
+    void addSigned(const std::string &key, long long value) override
+    {
+        put(key, value);
+    }
+    void addUnsigned(const std::string &key,
+                     unsigned long long value) override
+    {
+        put(key, value);
+    }
+    void addDouble(const std::string &key, double value) override
+    {
+        put(key, value, std::numeric_limits<double>::max_digits10);
+    }
+    void addText(const std::string &key, const std::string &value) override
+    {
+        put(key, value);
+    }
+
+  private:
+    template <typename T>
+    void
+    put(const std::string &key, const T &value, int precision = 0)
+    {
+        std::ostringstream oss;
+        if (precision)
+            oss.precision(precision);
+        oss << value;
+        text += key + "=" + oss.str() + "\n";
+    }
+};
+
+TEST(ConfigText, MatchesAStreamRenderingForEveryProvider)
+{
+    // Edited values reach the corners of each rendering: extreme and
+    // negative integers, doubles that need all 17 digits, denormals,
+    // signed zero, infinities and NaN, and text with separators.
+    const std::vector<void (*)(sim::GpuConfig &)> edits = {
+        [](sim::GpuConfig &) {},
+        [](sim::GpuConfig &c) {
+            c.sm.maxCycles = std::numeric_limits<Cycle>::max();
+            c.sm.dataBase = 0xdead'beef'cafeULL;
+            c.sm.numWarps = 0;
+            c.sm.cycleSkip = false;
+            c.sm.scheduler = arch::SchedulerPolicy::Rr;
+        },
+        [](sim::GpuConfig &c) {
+            c.energy.rfAccess2048 = 0.1;
+            c.energy.capacityExponent = 1.0 / 3.0;
+            c.energy.tagAccess = 1e-300;
+            c.energy.renameAccess = 1e300;
+            c.energy.lrfAccess = -0.0;
+            c.energy.orfAccess = std::numeric_limits<double>::denorm_min();
+            c.energy.l1Access = std::numeric_limits<double>::infinity();
+            c.energy.l2Access = -std::numeric_limits<double>::infinity();
+            c.energy.dramAccess = std::numeric_limits<double>::quiet_NaN();
+            c.energy.restPerInsn = 123456789012345678.0;
+            c.area.logicExponent = -2.5e-7;
+        },
+        [](sim::GpuConfig &c) {
+            c.tenants.workloads = {{"backprop", 1}, {"a b=c", 0}};
+            c.tenants.reserveFrac = 2.0 / 3.0;
+            c.tenants.qosShare = 0.25;
+            c.faults.kind = FaultPlan::Kind::LeakOsuSlot;
+            c.faults.triggerCycle = 12345;
+            c.trace.enabled = true;
+            c.trace.path = "/tmp/x y.json";
+        },
+    };
+    for (const sim::ProviderKind kind : sim::allProviderKinds()) {
+        for (std::size_t e = 0; e < edits.size(); ++e) {
+            sim::GpuConfig config = sim::GpuConfig::forProvider(kind);
+            edits[e](config);
+            StreamSink reference;
+            sim::visitConfigFields(config, reference);
+            EXPECT_EQ(sim::configCanonicalText(config), reference.text)
+                << sim::providerName(kind) << " edit " << e;
+        }
+    }
 }
 
 TEST(ConfigFingerprint, EveryTopLevelFieldChangesIt)

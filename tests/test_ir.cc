@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 
 #include "ir/cfg_analysis.hh"
 #include "ir/kernel.hh"
 #include "workloads/kernel_builder.hh"
+#include "workloads/random_kernel.hh"
+#include "workloads/rodinia.hh"
 
 namespace regless
 {
@@ -280,6 +283,48 @@ TEST(CfgAnalysisTest, UnreachableBlockDetected)
     ir::BlockId dead = k.blockOf(2);
     EXPECT_FALSE(cfg.reachable(dead));
     EXPECT_TRUE(cfg.reachable(0));
+}
+
+TEST(CfgAnalysisTest, ImmediatePostdominatorMatchesItsDefinition)
+{
+    // The precomputed answer must equal a search over the postdominator
+    // sets: the first strict pdom p of b (by id) that strictly
+    // postdominates no other strict pdom of b.
+    std::vector<ir::Kernel> kernels = workloads::allRodinia();
+    for (std::uint64_t seed = 1; seed <= 20; ++seed)
+        kernels.push_back(workloads::randomKernel(seed));
+    for (const ir::Kernel &k : kernels) {
+        ir::CfgAnalysis cfg(k);
+        for (ir::BlockId b = 0; b < k.blocks().size(); ++b) {
+            ir::BlockId expect = ir::invalidBlock;
+            const std::vector<ir::BlockId> pdoms = cfg.postdominatorsOf(b);
+            for (ir::BlockId p : pdoms) {
+                if (p == b)
+                    continue;
+                bool closest = true;
+                for (ir::BlockId q : pdoms) {
+                    if (q != b && q != p && cfg.postdominates(p, q))
+                        closest = false;
+                }
+                if (closest) {
+                    expect = p;
+                    break;
+                }
+            }
+            EXPECT_EQ(cfg.immediatePostdominator(b), expect)
+                << k.name() << " block " << b;
+        }
+    }
+}
+
+TEST(InstructionTest, EvaluateChecksItsSourceCount)
+{
+    ir::Instruction mad(ir::Opcode::IMad, 4, {1, 2, 3});
+    const ir::LaneValues a = lanes(2, 1), b = lanes(3, 0);
+    const ir::LaneValues *two[] = {&a, &b};
+    EXPECT_THROW(mad.evaluate(two, 2), std::out_of_range);
+    EXPECT_THROW(mad.evaluate({a, b}), std::out_of_range);
+    EXPECT_EQ(mad.evaluate({a, b, a})[5], 7u * 3u + 7u);
 }
 
 } // namespace
